@@ -12,6 +12,7 @@ Reruns with identical arguments and seed produce byte-identical outputs
 """
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -23,16 +24,16 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, multitone, rl
+from . import __version__, rl
 from .classic import (dbs_search, floyd_steinberg, ordered_dither,
                       white_noise_threshold)
 from .hvs import HvsConfig, build_kernel, dump_kernel_csv
 from .imagecore import (NetpbmError, Rng, constant_image, derive_seed,
                         load_pbm, load_pgm, save_pbm, save_pgm)
-from .metrics import MetricConfig, cssim, hvs_mse, psnr, ssim
+from .metrics import MetricConfig, cssim, hvs_mse, psnr, region_mask, ssim
 from .nn import CheckpointError, network_from_checkpoint, save_checkpoint
 from .rl import TrainConfig
-from .spectral import periodogram, rapsd, ring_partition
+from .spectral import anisotropy_db, periodogram, rapsd, ring_partition
 
 
 class UsageError(Exception):
@@ -139,7 +140,16 @@ def _load_halftone(path):
 _METHODS = ("bayer", "white", "fs", "dbs", "nn")
 
 
-def _synthesize(method, c, rng, args):
+def _load_policy(args):
+    """The --method nn network, read once per command; None otherwise."""
+    if args.method != "nn":
+        return None
+    net, _ = network_from_checkpoint(args.checkpoint)
+    return net
+
+
+def _synthesize(c, rng, args, policy):
+    method = args.method
     if method == "bayer":
         return ordered_dither(c, args.order)
     if method == "white":
@@ -152,21 +162,21 @@ def _synthesize(method, c, rng, args):
             _write_csv(args.trace, ("sweep", "mse"), trace)
         return h
     if method == "nn":
-        net, _ = network_from_checkpoint(args.checkpoint)
-        if getattr(args, "levels", 2) > 2:
-            lv = multitone.LevelSet(args.levels)
-            m, _ = multitone.infer_multitone(net, c, lv, rng)
-            return m
-        h, _ = rl.infer_halftone(net, c, rng)
-        return h
+        # forward keeps its activations on the network, so every task runs
+        # its own copy
+        m, _ = rl.infer_halftone(copy.deepcopy(policy), c, rng,
+                                 level_count=args.levels)
+        return m
     raise UsageError(f"unknown method {method!r}")
 
 
-def _check_halftone_flags(args):
+def _check_synthesis_flags(args):
+    """The one check of the synthesis flags that halftone, eval and
+    spectra share (see _synthesis_flags)."""
     if args.method == "nn" and not args.checkpoint:
         raise UsageError("--method nn requires --checkpoint")
-    if args.levels < 2:
-        raise UsageError("--levels must be at least 2")
+    if not 2 <= args.levels <= 65536:
+        raise UsageError("--levels must lie in [2, 65536], the PGM range")
     if args.levels > 2 and args.method != "nn":
         raise UsageError("--levels above 2 is only supported with "
                          "--method nn")
@@ -175,16 +185,19 @@ def _check_halftone_flags(args):
     if args.method == "bayer" and (
             args.order < 1 or args.order & (args.order - 1)):
         raise UsageError("--order must be a positive power of two")
+    if args.max_sweeps < 0:
+        raise UsageError("--max-sweeps must be non-negative")
+    if getattr(args, "size", 1) < 1:
+        raise UsageError("--size must be at least 1")
 
 
 def cmd_halftone(args, argv):
     started = _now()
-    _check_halftone_flags(args)
+    _check_synthesis_flags(args)
     c = load_pgm(args.input)
-    rng = Rng(args.seed)
-    out = _synthesize(args.method, c, rng, args)
+    out = _synthesize(c, Rng(args.seed), args, _load_policy(args))
     outputs = [args.output]
-    if args.method == "nn" and args.levels > 2:
+    if args.levels > 2:
         save_pgm(out, args.output, maxval=args.levels - 1)
     else:
         save_pbm(out, args.output)
@@ -311,18 +324,21 @@ def _find_mate(stem, halftone_dir):
 
 
 def _eval_one(task):
-    stem, contone_path, args, index = task
+    stem, contone_path, args, index, policy = task
     c = load_pgm(contone_path)
+    nas = MetricConfig()
+    gau = MetricConfig(hvs=HvsConfig(model="gaussian"))
+    if not all(region_mask(c.shape, cfg, "valid").any()
+               for cfg in (nas, gau)):
+        raise DataError(f"contone {stem!r} is {c.shape[1]}x{c.shape[0]}, "
+                        f"too small for a valid scoring region")
     if args.halftone_dir:
         h = _load_halftone(_find_mate(stem, args.halftone_dir))
         if h.shape != c.shape:
             raise DataError(f"pair {stem!r}: contone {c.shape} vs halftone "
                             f"{h.shape}")
     else:
-        h = _synthesize(args.method, c, Rng(derive_seed(args.seed, index)),
-                        args)
-    nas = MetricConfig()
-    gau = MetricConfig(hvs=HvsConfig(model="gaussian"))
+        h = _synthesize(c, Rng(derive_seed(args.seed, index)), args, policy)
     return (stem,
             psnr(hvs_mse(h, c, nas, region="valid")),
             psnr(hvs_mse(h, c, gau, region="valid")),
@@ -334,8 +350,7 @@ def cmd_eval(args, argv):
     started = _now()
     if bool(args.halftone_dir) == bool(args.method):
         raise UsageError("give exactly one of --halftone-dir or --method")
-    if args.method == "nn" and not args.checkpoint:
-        raise UsageError("--method nn requires --checkpoint")
+    _check_synthesis_flags(args)
     if not os.path.isdir(args.contone_dir):
         raise DataError(f"contone directory {args.contone_dir!r} does not "
                         f"exist")
@@ -343,8 +358,9 @@ def cmd_eval(args, argv):
                    if n.endswith(".pgm"))
     if not names:
         raise DataError(f"no .pgm images in {args.contone_dir!r}")
+    policy = _load_policy(args)
     tasks = [(os.path.splitext(name)[0],
-              os.path.join(args.contone_dir, name), args, i)
+              os.path.join(args.contone_dir, name), args, i, policy)
              for i, name in enumerate(names)]
     rows = _parallel_map(_eval_one, tasks)
     cols = np.array([row[1:] for row in rows], dtype=np.float64)
@@ -364,13 +380,12 @@ def cmd_eval(args, argv):
 # spectra
 
 def _spectra_one(task):
-    args, index = task
+    args, index, policy = task
     if args.input:
         x = _load_halftone(args.input)
     else:
         c = constant_image(args.gray, args.size, args.size)
-        x = _synthesize(args.method, c, Rng(derive_seed(args.seed, index)),
-                        args)
+        x = _synthesize(c, Rng(derive_seed(args.seed, index)), args, policy)
     part = ring_partition(x.shape)
     return rapsd(periodogram(x), part)
 
@@ -389,19 +404,18 @@ def cmd_spectra(args, argv):
                          "halftones")
     if args.gray is not None and not 0.0 <= args.gray <= 1.0:
         raise UsageError("--gray must lie in [0, 1]")
-    if args.method == "nn" and not args.checkpoint:
-        raise UsageError("--method nn requires --checkpoint")
+    _check_synthesis_flags(args)
 
-    curves = _parallel_map(_spectra_one,
-                           [(args, i) for i in range(args.realizations)])
+    policy = _load_policy(args)
+    curves = _parallel_map(_spectra_one, [(args, i, policy)
+                                          for i in range(args.realizations)])
     power = np.mean([cv.power for cv in curves], axis=0)
     anis = np.mean([cv.anisotropy for cv in curves], axis=0)
     dc = float(np.mean([cv.dc_power for cv in curves]))
     first = curves[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        anis_db = 10.0 * np.log10(anis)
     rows = [(0.0, dc, math.nan, math.nan, 1)]
-    rows.extend(zip(first.radii, power, anis, anis_db, first.counts))
+    rows.extend(zip(first.radii, power, anis, anisotropy_db(anis),
+                    first.counts))
     _write_csv(args.output,
                ("f_rho", "power", "anisotropy", "anisotropy_db", "count"),
                rows)
@@ -432,6 +446,24 @@ def _resolved(args):
                                                              "func")}
 
 
+def _synthesis_flags():
+    """Flags of every command that synthesizes halftones; checked once by
+    _check_synthesis_flags."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--checkpoint", help="policy weights (--method nn)")
+    p.add_argument("--levels", type=int, default=2,
+                   help="output levels; above 2 switches to multitone PGM "
+                        "(--method nn)")
+    p.add_argument("--order", type=int, default=8,
+                   help="threshold matrix order (--method bayer)")
+    p.add_argument("--serpentine", action="store_true",
+                   help="serpentine scan (--method fs)")
+    p.add_argument("--max-sweeps", type=int, default=20,
+                   help="search sweep cap (--method dbs)")
+    return p
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="htlab",
@@ -440,21 +472,13 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("halftone", help="convert one contone PGM")
+    synthesis = _synthesis_flags()
+    p = sub.add_parser("halftone", parents=[synthesis],
+                       help="convert one contone PGM")
     p.add_argument("--input", required=True, help="contone .pgm")
     p.add_argument("--output", required=True,
                    help="output .pbm (binary) or .pgm (multitone)")
     p.add_argument("--method", required=True, choices=_METHODS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--checkpoint", help="policy weights (--method nn)")
-    p.add_argument("--levels", type=int, default=2,
-                   help="output levels; above 2 switches to multitone PGM")
-    p.add_argument("--order", type=int, default=8,
-                   help="threshold matrix order (--method bayer)")
-    p.add_argument("--serpentine", action="store_true",
-                   help="serpentine scan (--method fs)")
-    p.add_argument("--max-sweeps", type=int, default=20,
-                   help="search sweep cap (--method dbs)")
     p.add_argument("--trace", help="write the search error trace CSV "
                                    "(--method dbs)")
     p.set_defaults(func=cmd_halftone)
@@ -464,22 +488,18 @@ def build_parser():
     p.add_argument("--resume", help="checkpoint to continue from")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score halftones against contones")
+    p = sub.add_parser("eval", parents=[synthesis],
+                       help="score halftones against contones")
     p.add_argument("--contone-dir", required=True)
     p.add_argument("--halftone-dir",
                    help="mates matched by stem (.pbm, then .pgm)")
     p.add_argument("--method", choices=_METHODS,
                    help="synthesize the halftones instead")
-    p.add_argument("--checkpoint")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--serpentine", action="store_true")
-    p.add_argument("--max-sweeps", type=int, default=20)
-    p.add_argument("--levels", type=int, default=2)
     p.add_argument("--output", required=True, help="metrics CSV")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("spectra", help="radial spectrum and anisotropy CSV")
+    p = sub.add_parser("spectra", parents=[synthesis],
+                       help="radial spectrum and anisotropy CSV")
     p.add_argument("--input", help="halftone .pbm/.pgm to analyze")
     p.add_argument("--gray", type=float,
                    help="synthesize from this constant tone")
@@ -488,12 +508,6 @@ def build_parser():
                    help="synthesized image side")
     p.add_argument("--realizations", type=int, default=1,
                    help="average this many seeded syntheses")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--checkpoint")
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--serpentine", action="store_true")
-    p.add_argument("--max-sweeps", type=int, default=20)
-    p.add_argument("--levels", type=int, default=2)
     p.add_argument("--output", required=True, help="spectrum CSV")
     p.set_defaults(func=cmd_spectra)
 

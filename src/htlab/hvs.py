@@ -108,13 +108,8 @@ def _weights(kernel):
         kernel, dtype=np.float64)
 
 
-def convolve_same(img, kernel, return_valid_mask=False):
-    """Same-size direct convolution with zero padding.
-
-    With return_valid_mask=True also returns the boolean mask of pixels whose
-    window lies fully inside the image (empty when the kernel outgrows the
-    image; callers must handle that).
-    """
+def convolve_same(img, kernel):
+    """Same-size direct convolution with zero padding."""
     img = np.asarray(img, dtype=np.float64)
     w = _weights(kernel)
     k = w.shape[0]
@@ -126,17 +121,7 @@ def convolve_same(img, kernel, return_valid_mask=False):
     wf = w[::-1, ::-1]
     padded = np.pad(img, half, mode="constant")
     windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k))
-    out = np.tensordot(windows, wf, axes=([2, 3], [0, 1]))
-    if not return_valid_mask:
-        return out
-    mask = np.zeros(img.shape, dtype=bool)
-    if img.shape[0] >= k and img.shape[1] >= k:
-        mask[half:img.shape[0] - half, half:img.shape[1] - half] = True
-    return out, mask
-
-
-def valid_margin(size):
-    return size // 2
+    return np.tensordot(windows, wf, axes=([2, 3], [0, 1]))
 
 
 def dump_kernel_csv(kernel, path):

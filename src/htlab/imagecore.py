@@ -98,9 +98,6 @@ class Rng:
         z[1::2] = r * np.sin(theta)
         return z[:n]
 
-    def gaussian(self):
-        return float(self.gaussians(1)[0])
-
     def randint(self, n):
         """Uniform integer in [0, n)."""
         if n <= 0:

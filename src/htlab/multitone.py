@@ -2,10 +2,10 @@
 
 Each continuous network output v in [0, 1] is cast onto its two nearest
 lattice levels: the policy puts mass (v - floor)/delta on the upper level
-and the rest on the lower, which keeps E[sampled level] = v. The one-step
-policy-gradient machinery is shared with the binary path; L = 2 reproduces
-it bit for bit, because the cast then degenerates to floor = 0, ceil = 1
-and upper mass = v, and the same uniforms drive the same comparison.
+and the rest on the lower, which keeps E[sampled level] = v. Casting,
+sampling, the estimators and inference all live in `rl` and take a
+`level_count`; binary halftoning is the L = 2 case, where the cast
+degenerates to floor = 0, ceil = 1 and upper mass = v.
 """
 
 from dataclasses import dataclass
@@ -33,44 +33,6 @@ class LevelSet:
         return np.arange(self.count) / (self.count - 1)
 
 
-def cast_probabilities(v, levels):
-    """Two-point support for each value: (floor_vals, ceil_vals, p_ceil).
-
-    On-lattice values collapse to one support point with p_ceil = 0, so
-    they sample deterministically and carry no gradient signal.
-    """
-    return rl._cast_two_point(v, levels.count)
-
-
-def sample_multitone(v, levels, rng):
-    """Draw one lattice level per pixel from the cast distribution."""
-    floor_vals, ceil_vals, p_ceil = cast_probabilities(v, levels)
-    return rl._sample_two_point(floor_vals, ceil_vals, p_ceil, rng)
-
-
-def make_multitone_sample(v, c, z, levels, rng, cfg=None):
-    return rl.make_sample(v, c, z, rng, cfg, level_count=levels.count)
-
-
-def le_signal_multitone(sample):
-    """Local-expectation gradient for the cast policy: the per-pixel factor
-    is the two-point reward difference scaled by 1/delta."""
-    return rl.le_signal(sample)
-
-
-def quantize_multitone(v, levels):
-    """Deterministic inference: nearest lattice level, half-steps round up.
-    For L = 2 this is the binary threshold-at-0.5 rule."""
-    v = np.asarray(v, dtype=np.float64)
-    steps = levels.count - 1
-    idx = np.clip(np.floor(v * steps + 0.5), 0, steps)
-    return idx / steps
-
-
 def infer_multitone(net, c, levels, rng):
     """Run the policy once and round to the lattice. Returns (m, v)."""
-    from .imagecore import gaussian_noise_map
-    c = np.asarray(c, dtype=np.float64)
-    z = gaussian_noise_map(rng, c.shape[1], c.shape[0])
-    v = net.forward(np.stack((c, z))[None])[0, 0]
-    return quantize_multitone(v, levels), v
+    return rl.infer_halftone(net, c, rng, level_count=levels.count)

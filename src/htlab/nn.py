@@ -20,10 +20,6 @@ import numpy as np
 CHECKPOINT_MAGIC = b"HTNN"
 CHECKPOINT_VERSION = 1
 
-# architecture presets: channels, residual blocks
-PRESET_PAPER = (32, 16)
-PRESET_MINI = (8, 2)
-
 
 class Parameter:
     __slots__ = ("value", "grad")

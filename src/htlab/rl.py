@@ -57,16 +57,15 @@ def _cast_two_point(values, level_count):
     return floor_vals, ceil_vals, frac
 
 
-def sample_actions(p, rng):
-    """Independent Bernoulli(p) draws; one uniform per pixel, row-major."""
-    p = np.asarray(p, dtype=np.float64)
-    u = rng.uniforms(p.size).reshape(p.shape)
-    return (u < p).astype(np.float64)
-
-
 def _sample_two_point(floor_vals, ceil_vals, p_ceil, rng):
     u = rng.uniforms(p_ceil.size).reshape(p_ceil.shape)
     return np.where(u < p_ceil, ceil_vals, floor_vals)
+
+
+def sample_actions(p, rng, level_count=2):
+    """One lattice level per pixel from the cast policy; one uniform per
+    pixel, row-major. For L=2 these are independent Bernoulli(p) draws."""
+    return _sample_two_point(*_cast_two_point(p, level_count), rng)
 
 
 @dataclass
@@ -229,7 +228,7 @@ def _signals_for_batch(samples, estimator):
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
-def train_step(net, adam, dataset, cfg, rng, t, _part_cache={}):
+def train_step(net, adam, dataset, cfg, rng, t):
     """One optimization step; returns the diagnostics row.
 
     Draw order per iteration is fixed (image pick, crop offsets, noise map
@@ -263,9 +262,7 @@ def train_step(net, adam, dataset, cfg, rng, t, _part_cache={}):
         xg = np.stack([np.stack((np.full((size, size), g), z))
                        for g, z in zip(grays, znoise)])
         pg = net.forward(xg)[:, 0]
-        part = _part_cache.get((size, size))
-        if part is None:
-            part = _part_cache[(size, size)] = ring_partition((size, size))
+        part = ring_partition((size, size))
         losses = [anisotropy_loss(pg[i], part) for i in range(ba)]
         dpg = np.stack([anisotropy_loss_backward(pg[i], part)
                         for i in range(ba)])
@@ -303,9 +300,12 @@ def train_loop(cfg, dataset, resume_path=None, on_iteration=None):
     return net, adam, rng
 
 
-def infer_halftone(net, c, rng):
-    """Threshold the policy at 0.5 (ties go white). Returns (h, p)."""
+def infer_halftone(net, c, rng, level_count=2):
+    """Run the policy once and round each output to its more probable cast
+    level (ties go up; for L=2 this thresholds at 0.5, ties white).
+    Returns (m, p)."""
     c = np.asarray(c, dtype=np.float64)
     z = gaussian_noise_map(rng, c.shape[1], c.shape[0])
     p = net.forward(np.stack((c, z))[None])[0, 0]
-    return (p >= 0.5).astype(np.float64), p
+    floor_vals, ceil_vals, p_ceil = _cast_two_point(p, level_count)
+    return np.where(p_ceil >= 0.5, ceil_vals, floor_vals), p

@@ -8,6 +8,7 @@ both are excluded from anisotropy and from the loss. Radii are sqrt of
 integers and therefore never land exactly on .5, so rounding has no ties.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -36,8 +37,13 @@ def _signed_freqs(n):
     return ((np.arange(n) + n // 2) % n) - n // 2
 
 
+@functools.lru_cache(maxsize=32)
 def ring_partition(shape):
-    """Group every non-DC bin into the ring round(rho), rho in lattice units."""
+    """Group every non-DC bin into the ring round(rho), rho in lattice units.
+
+    Cached per shape, so every caller shares one partition; its arrays are
+    read-only.
+    """
     hgt, wid = shape
     if hgt < 1 or wid < 1:
         raise ValueError("shape must be positive")
@@ -52,6 +58,8 @@ def ring_partition(shape):
     dense = np.full(ring.shape, -1, dtype=np.int64)
     for i, r in enumerate(radii):
         dense[ring == r] = i
+    for arr in (dense, radii, counts):
+        arr.flags.writeable = False
     return RingPartition((hgt, wid), dense, radii, counts)
 
 
@@ -131,7 +139,3 @@ def anisotropy_loss_backward(x, part=None):
     x = np.asarray(x, dtype=np.float64)
     fx, dev = _loss_pieces(x, part)
     return 4.0 * np.fft.ifft2(dev * fx).real
-
-
-def ring_count(shape):
-    return len(ring_partition(shape).radii)

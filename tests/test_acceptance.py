@@ -14,7 +14,7 @@ Summary of the checks:
      a natural crop; at gray 0.5 the checkerboard tie, a DBS fixed point
   6  training smoke run: saturated, tone-true, better than white noise
   7  contrast-weighted SSIM ignores flat regions exactly
-  8  multitone: L=2 reduces to the binary path; L=3 estimator unbiased
+  8  multitone: L=2 reduces to the binary rules; L=3 estimator unbiased
   9  every CLI command is byte-deterministic under a fixed seed
 """
 
@@ -35,8 +35,7 @@ from htlab.hvs import HvsConfig
 from htlab.imagecore import Rng, constant_image, save_pgm
 from htlab.metrics import MetricConfig, cssim, hvs_mse, psnr, ssim, toggle_delta
 from htlab.metrics import reward as build_reward
-from htlab.multitone import (LevelSet, cast_probabilities, infer_multitone,
-                             le_signal_multitone, sample_multitone)
+from htlab.multitone import LevelSet, infer_multitone
 from htlab.nn import Conv2d, PolicyNetwork
 from htlab.rl import (TrainConfig, coma_signal, exact_gradient_oracle,
                       infer_halftone, le_signal, reinforce_signal,
@@ -405,29 +404,32 @@ def test_criterion_7_flat_region_structural_score():
 
 @criterion(8)
 def test_criterion_8_multitone_reduction():
-    # L=2 sampling is byte-identical to the binary path, and leaves the
-    # generator in the identical state
+    # L=2 sampling is byte-identical to Bernoulli draws u < v, and leaves
+    # the generator in the identical state
     two = LevelSet(2)
     v = helpers.random_contone(Rng(8000), 8, 8)
     rng_a, rng_b = Rng(8001), Rng(8001)
-    m_multi = sample_multitone(v, two, rng_a)
-    m_binary = sample_actions(v, rng_b)
+    m_multi = sample_actions(v, rng_a, level_count=two.count)
+    m_binary = (rng_b.uniforms(v.size).reshape(v.shape) < v).astype(
+        np.float64)
     assert m_multi.tobytes() == m_binary.tobytes()
     assert rng_a.state_words() == rng_b.state_words()
 
-    # L=2 inference is byte-identical to binary inference
+    # L=2 inference is byte-identical to thresholding the policy at 0.5
     net = PolicyNetwork(channels=2, blocks=0)
     net.init_params(Rng(8002), std=0.5)
     c = helpers.natural_crop(16, seed=3)
-    m_inferred, _ = infer_multitone(net, c, two, Rng(8003))
+    m_inferred, p_inferred = infer_multitone(net, c, two, Rng(8003))
     h_inferred, _ = infer_halftone(net, c, Rng(8003))
     assert m_inferred.tobytes() == h_inferred.tobytes()
+    assert m_inferred.tobytes() == (p_inferred >= 0.5).astype(
+        np.float64).tobytes()
 
     # L=3 local-expectation unbiasedness on the criterion-1 instance grid
     three = LevelSet(3)
     worst = 0.0
     for p, c, cfg in _instance_grid(8100):
-        floor_vals, ceil_vals, p_ceil = cast_probabilities(p, three)
+        floor_vals, ceil_vals, p_ceil = rl._cast_two_point(p, three.count)
         total = np.zeros_like(p)
         for sel in oracles.enumerate_bit_maps(p.shape):
             m = np.where(sel == 1.0, ceil_vals, floor_vals)
@@ -438,7 +440,7 @@ def test_criterion_8_multitone_reduction():
                                       floor_vals=floor_vals,
                                       ceil_vals=ceil_vals, p_ceil=p_ceil,
                                       level_count=3, ctx=ctx)
-            total += weight * le_signal_multitone(sample)
+            total += weight * le_signal(sample)
         want = -exact_gradient_oracle(p, c, cfg, level_count=3)
         worst = max(worst, float(np.max(np.abs(total - want))))
     assert worst <= 1e-9, f"worst three-level estimator bias {worst:.3e}"

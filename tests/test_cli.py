@@ -119,6 +119,23 @@ class TestHalftoneFlags:
                          str(tmp_path / "o.pbm"), "--method", "bayer",
                          "--order", "3"]) == 2
 
+    @pytest.mark.parametrize("command", ["halftone", "eval", "spectra"])
+    @pytest.mark.parametrize("method, extra", [
+        ("bayer", ["--order", "3"]),
+        ("fs", ["--levels", "1"]),
+        ("fs", ["--levels", "3"]),               # multitone needs nn
+        ("dbs", ["--max-sweeps", "-1"]),
+        # beyond the PGM maxval; rejected before the checkpoint is opened
+        ("nn", ["--checkpoint", "absent.htnn", "--levels", "65537"]),
+    ])
+    def test_every_synthesizing_command_checks_the_shared_flags(
+            self, contone, tmp_path, command, method, extra):
+        source = {"halftone": ["--input", contone],
+                  "eval": ["--contone-dir", str(Path(contone).parent)],
+                  "spectra": ["--gray", "0.5"]}[command]
+        assert cli.main([command, "--output", str(tmp_path / "o.out"),
+                         "--method", method] + source + extra) == 2
+
 
 class TestHalftoneOutputs:
     def test_bayer_writes_pbm_and_manifest(self, contone, tmp_path):
@@ -334,6 +351,17 @@ class TestEval:
                          "--halftone-dir", str(hdir), "--output",
                          str(tmp_path / "m.csv")]) == 3
 
+    def test_undersized_contone_is_data_error(self, tmp_path, capsys):
+        # a 6x6 image has no pixel whose filter and SSIM windows fit inside
+        cdir = self._contones(tmp_path, n=1, size=6)
+        out = str(tmp_path / "m.csv")
+        assert cli.main(["eval", "--contone-dir", cdir, "--method", "bayer",
+                         "--output", out]) == 3
+        assert "img0" in capsys.readouterr().err
+        assert cli.main(["eval", "--contone-dir", cdir, "--halftone-dir",
+                         cdir, "--output", out]) == 3
+        assert "img0" in capsys.readouterr().err
+
     def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
         cdir = self._contones(tmp_path)
         texts = []
@@ -344,6 +372,24 @@ class TestEval:
                              "fs", "--output", str(out)]) == 0
             texts.append(out.read_text())
         assert texts[0] == texts[1]
+
+    def test_nn_reads_checkpoint_once_at_any_thread_cap(
+            self, tmp_path, monkeypatch, tiny_checkpoint):
+        cdir = self._contones(tmp_path)
+        reads = []
+        real = cli.network_from_checkpoint
+        monkeypatch.setattr(cli, "network_from_checkpoint",
+                            lambda path: reads.append(path) or real(path))
+        texts = []
+        for threads, name in (("1", "n1.csv"), ("2", "n2.csv")):
+            monkeypatch.setenv("HTLAB_THREADS", threads)
+            out = tmp_path / name
+            assert cli.main(["eval", "--contone-dir", cdir, "--method", "nn",
+                             "--checkpoint", tiny_checkpoint, "--output",
+                             str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert reads == [tiny_checkpoint] * 2
 
     def test_invalid_thread_cap_is_usage(self, tmp_path, monkeypatch):
         cdir = self._contones(tmp_path, n=1)
@@ -360,6 +406,7 @@ class TestSpectra:
         ["--gray", "0.5", "--method", "white",
          "--realizations", "0"],                         # bad realizations
         ["--method", "nn", "--gray", "0.5"],             # nn w/o checkpoint
+        ["--gray", "0.5", "--method", "white", "--size", "0"],  # empty image
     ])
     def test_flag_validation(self, tmp_path, extra):
         assert cli.main(["spectra", "--output",
@@ -387,6 +434,17 @@ class TestSpectra:
         for row in rows[1:]:
             assert float(row[1]) == 0.0
             assert row[2] == "nan"
+
+    def test_zero_anisotropy_has_nan_db(self, tmp_path):
+        # one dot per 8x8 tile: a flat periodogram, so every ring's
+        # anisotropy is 0 and its dB value is undefined
+        out = tmp_path / "s.csv"
+        assert cli.main(["spectra", "--gray", "0.02", "--method", "bayer",
+                         "--size", "8", "--output", str(out)]) == 0
+        _, _, rows = parse_csv(out)
+        assert [r[2] for r in rows[1:6]] == ["0"] * 5
+        for row in rows:
+            assert row[3] == "nan"
 
     def test_multi_realization_rerun_is_byte_identical(self, tmp_path):
         texts = []

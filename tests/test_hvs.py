@@ -6,7 +6,7 @@ import pytest
 from htlab.hvs import (HvsConfig, HvsKernel, build_gaussian_kernel,
                        build_kernel, build_nasanen_kernel, convolve_same,
                        dump_kernel_csv, load_kernel_csv,
-                       nasanen_frequency_response, valid_margin)
+                       nasanen_frequency_response)
 from htlab.imagecore import Rng
 
 from oracles import conv2d_same_brute
@@ -116,22 +116,11 @@ class TestConvolveSame:
         assert np.array_equal(out, want)
 
     def test_valid_mask(self):
+        # pixels whose whole 5x5 window lies inside the image see no padding
         img = np.ones((6, 8))
         weights = np.full((5, 5), 1.0 / 25.0)
-        out, mask = convolve_same(img, HvsKernel(size=5, weights=weights),
-                                  return_valid_mask=True)
-        want = np.zeros((6, 8), dtype=bool)
-        want[2:4, 2:6] = True
-        assert np.array_equal(mask, want)
-        assert np.max(np.abs(out[mask] - 1.0)) < 1e-12
-        assert valid_margin(5) == 2
-
-    def test_valid_mask_can_be_empty(self):
-        img = np.ones((3, 3))
-        weights = np.full((5, 5), 1.0 / 25.0)
-        _, mask = convolve_same(img, HvsKernel(size=5, weights=weights),
-                                return_valid_mask=True)
-        assert not mask.any()
+        out = convolve_same(img, HvsKernel(size=5, weights=weights))
+        assert np.max(np.abs(out[2:4, 2:6] - 1.0)) < 1e-12
 
 
 class TestKernelCsv:

@@ -2,8 +2,10 @@
 
 The load-bearing facts: casting preserves the mean exactly (the sampled
 level is an unbiased estimate of the continuous value), L = 2 reproduces
-the binary path bit for bit, and the local-expectation estimator stays
-unbiased on the two-point support of a 3-level policy.
+the binary rules bit for bit (Bernoulli draws u < v, threshold v >= 0.5),
+and the local-expectation estimator stays unbiased on the two-point support
+of a 3-level policy. Casting, sampling and rounding live in `rl` and take a
+level count; these tests drive them through it.
 """
 
 import numpy as np
@@ -16,14 +18,32 @@ from htlab.hvs import HvsConfig
 from htlab.imagecore import Rng
 from htlab.metrics import MetricConfig
 from htlab.metrics import reward as build_reward
-from htlab.multitone import (LevelSet, cast_probabilities, infer_multitone,
-                             le_signal_multitone, make_multitone_sample,
-                             quantize_multitone, sample_multitone)
+from htlab.multitone import LevelSet, infer_multitone
 from htlab.nn import PolicyNetwork
-from htlab.rl import exact_gradient_oracle, infer_halftone, sample_actions
+from htlab.rl import (exact_gradient_oracle, infer_halftone, le_signal,
+                      sample_actions)
 
 SMALL = MetricConfig(ssim_window=3,
                      hvs=HvsConfig(model="gaussian", size=3, sigma=1.0))
+
+
+class FixedPolicy:
+    """Stands in for the network: forward returns the given value map, so
+    inference rounds exactly these values."""
+
+    def __init__(self, v):
+        self.v = np.asarray(v, dtype=np.float64)
+
+    def forward(self, x):
+        return self.v[None, None]
+
+
+def rounded(v, count):
+    """Inference's lattice rounding applied to the value map v."""
+    v = np.asarray(v, dtype=np.float64)
+    m, _ = infer_multitone(FixedPolicy(v), np.zeros_like(v), LevelSet(count),
+                           Rng(0))
+    return m
 
 
 class TestLevelSet:
@@ -44,55 +64,55 @@ class TestCast:
     def test_expectation_preserved(self):
         v = helpers.random_contone(Rng(3), 8, 8)
         levels = LevelSet(5)
-        floor_vals, ceil_vals, p_ceil = cast_probabilities(v, levels)
+        floor_vals, ceil_vals, p_ceil = rl._cast_two_point(v, levels.count)
         mean = floor_vals * (1.0 - p_ceil) + ceil_vals * p_ceil
         assert np.max(np.abs(mean - v)) < 1e-12
         assert np.all(ceil_vals - floor_vals <= levels.delta + 1e-15)
 
     def test_on_lattice_collapse(self):
         levels = LevelSet(3)
-        floor_vals, ceil_vals, p_ceil = cast_probabilities(
-            np.array([[0.5, 1.0, 0.0]]), levels)
+        floor_vals, ceil_vals, p_ceil = rl._cast_two_point(
+            np.array([[0.5, 1.0, 0.0]]), levels.count)
         assert floor_vals.tolist() == [[0.5, 1.0, 0.0]]
         assert ceil_vals.tolist() == [[0.5, 1.0, 0.0]]
         assert p_ceil.tolist() == [[0.0, 0.0, 0.0]]
 
     def test_binary_reduction_is_bitwise(self):
         v = helpers.random_contone(Rng(5), 6, 6)
-        floor_vals, ceil_vals, p_ceil = cast_probabilities(v, LevelSet(2))
+        floor_vals, ceil_vals, p_ceil = rl._cast_two_point(v, 2)
         assert np.array_equal(floor_vals, np.zeros((6, 6)))
         assert np.array_equal(ceil_vals, np.ones((6, 6)))
         assert np.array_equal(p_ceil, v)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            cast_probabilities(np.array([[1.2]]), LevelSet(3))
+            rl._cast_two_point(np.array([[1.2]]), 3)
 
 
 class TestSampling:
     def test_binary_sampling_matches_binary_path_bitwise(self):
         v = helpers.random_contone(Rng(7), 8, 8)
         r1, r2 = Rng(9), Rng(9)
-        a = sample_multitone(v, LevelSet(2), r1)
-        b = sample_actions(v, r2)
+        a = sample_actions(v, r1, level_count=2)
+        b = (r2.uniforms(v.size).reshape(v.shape) < v).astype(np.float64)
         assert np.array_equal(a, b)
         assert r1.state_words() == r2.state_words()
 
     def test_samples_live_on_adjacent_levels(self):
         levels = LevelSet(4)
         v = helpers.random_contone(Rng(11), 10, 10)
-        m = sample_multitone(v, levels, Rng(13))
-        floor_vals, ceil_vals, _ = cast_probabilities(v, levels)
+        m = sample_actions(v, Rng(13), levels.count)
+        floor_vals, ceil_vals, _ = rl._cast_two_point(v, levels.count)
         assert np.all((m == floor_vals) | (m == ceil_vals))
 
     def test_mean_converges_to_value(self):
         v = np.full((100, 200), 0.37)
-        m = sample_multitone(v, LevelSet(5), Rng(17))
+        m = sample_actions(v, Rng(17), 5)
         assert abs(m.mean() - 0.37) < 0.005
 
     def test_on_lattice_is_deterministic(self):
         v = np.full((4, 4), 0.5)
-        m = sample_multitone(v, LevelSet(3), Rng(19))
+        m = sample_actions(v, Rng(19), 3)
         assert np.array_equal(m, v)
 
 
@@ -103,7 +123,7 @@ class TestUnbiasedness:
         # strictly off-lattice values so every pixel has two support points
         v = 0.05 + 0.4 * helpers.random_contone(rng, 2, 2)
         c = helpers.random_contone(rng, 2, 2)
-        floor_vals, ceil_vals, p_ceil = cast_probabilities(v, levels)
+        floor_vals, ceil_vals, p_ceil = rl._cast_two_point(v, levels.count)
 
         total = np.zeros_like(v)
         for sel in oracles.enumerate_bit_maps((2, 2)):
@@ -115,28 +135,35 @@ class TestUnbiasedness:
                                       floor_vals=floor_vals,
                                       ceil_vals=ceil_vals, p_ceil=p_ceil,
                                       level_count=3, ctx=ctx)
-            total += weight * le_signal_multitone(sample)
+            total += weight * le_signal(sample)
         want = -exact_gradient_oracle(v, c, SMALL, level_count=3)
         assert np.max(np.abs(total - want)) < 1e-9
 
 
 class TestQuantize:
     def test_literals(self):
-        levels = LevelSet(5)
-        got = quantize_multitone(np.array([[0.37, 0.125, 0.9, 1.0]]), levels)
+        got = rounded(np.array([[0.37, 0.125, 0.9, 1.0]]), 5)
         # 0.125 sits exactly half way between 0 and 0.25: rounds up
         assert got.tolist() == [[0.25, 0.25, 1.0, 1.0]]
 
     def test_binary_is_threshold_rule(self):
-        got = quantize_multitone(np.array([[0.49, 0.5, 0.51, 0.0]]),
-                                 LevelSet(2))
+        v = np.array([[0.49, 0.5, 0.51, 0.0]])
+        got = rounded(v, 2)
         assert got.tolist() == [[0.0, 1.0, 1.0, 0.0]]
+        assert np.array_equal(got, (v >= 0.5).astype(np.float64))
 
     def test_idempotent_on_lattice(self):
-        levels = LevelSet(4)
         v = helpers.random_contone(Rng(29), 5, 5)
-        q = quantize_multitone(v, levels)
-        assert np.array_equal(quantize_multitone(q, levels), q)
+        q = rounded(v, 4)
+        assert np.array_equal(rounded(q, 4), q)
+
+    def test_just_below_a_tie_rounds_down(self):
+        # v * (L-1) + 0.5 rounds up to the tie here, so a rule built on it
+        # sends these values to the upper level
+        below_half = np.nextafter(0.5, 0.0)
+        assert rounded(np.array([[below_half]]), 2).tolist() == [[0.0]]
+        assert rounded(np.array([[np.nextafter(0.25, 0.0)]]),
+                       3).tolist() == [[0.0]]
 
 
 class TestInference:
@@ -154,7 +181,8 @@ class TestInference:
         assert np.array_equal(m1, m2)
         assert np.array_equal(v1, v2)
         assert np.all(np.isin(m1, levels.values))
-        assert np.array_equal(m1, quantize_multitone(v1, levels))
+        assert np.all(np.abs(m1 - v1) <= levels.delta / 2)
+        assert np.array_equal(m1, rounded(v1, 4))
 
     def test_binary_inference_matches_halftone_path(self):
         net = self._net()
@@ -163,16 +191,14 @@ class TestInference:
         h, p = infer_halftone(net, c, Rng(7))
         assert np.array_equal(m, h)
         assert np.array_equal(v, p)
+        assert np.array_equal(h, (p >= 0.5).astype(np.float64))
 
 
 def test_make_multitone_sample_routes_through_shared_path():
     rng = Rng(37)
     c = helpers.random_contone(rng, 4, 4)
     v = helpers.random_contone(rng, 4, 4)
-    levels = LevelSet(3)
-    s1 = make_multitone_sample(v, c, np.zeros((4, 4)), levels, Rng(41), SMALL)
-    s2 = rl.make_sample(v, c, np.zeros((4, 4)), Rng(41), SMALL,
-                        level_count=3)
-    assert np.array_equal(s1.m, s2.m)
-    assert s1.level_count == 3
-    assert s1.ctx.reward == s2.ctx.reward
+    s = rl.make_sample(v, c, np.zeros((4, 4)), Rng(41), SMALL, level_count=3)
+    assert np.array_equal(s.m, sample_actions(v, Rng(41), 3))
+    assert s.level_count == 3
+    assert s.ctx.reward == build_reward(s.m, c, SMALL, region="full").reward

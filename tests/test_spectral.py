@@ -19,7 +19,7 @@ import oracles
 from htlab.imagecore import Rng, constant_image
 from htlab.spectral import (anisotropy_db, anisotropy_loss,
                             anisotropy_loss_backward, periodogram, rapsd,
-                            ring_count, ring_partition)
+                            ring_partition)
 
 
 class TestPeriodogram:
@@ -86,7 +86,14 @@ class TestRingPartition:
         assert part.counts.tolist() == [5, 2]
 
     def test_ring_count(self):
-        assert ring_count((4, 4)) == 3
+        assert len(ring_partition((4, 4)).radii) == 3
+
+    def test_cached_partition_is_read_only(self):
+        part = ring_partition((4, 4))
+        assert ring_partition((4, 4)) is part
+        for arr in (part.ring_index, part.radii, part.counts):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,14 @@ diffusion, white-noise thresholding, and direct binary search (DBS).
 
 DBS greedily minimizes the HVS-filtered squared error with toggle and
 8-neighbor swap moves, sweeping pixels in raster order and applying the best
-strictly-improving candidate at each site. Because a pixel edit moves the
-filtered map only inside the kernel window, every candidate is scored from
-window sums in O(kernel area).
-"""
+strictly-improving candidate at each site. It is the efficient DBS of
+Lieberman & Allebach (ICIP 1997): one maintained map ce = corr(e, K) of the
+filtered error e with the kernel scores every candidate in O(1). Toggling
+a by d changes the squared error by 2 d ce[a] + d^2 k2[a]; a swap of a and
+b adds b's toggle terms and the cross term 2 d_a d_b T(a)[b - a]. Each
+accepted edit adds d T(a) to ce over a's (2K-1)^2 neighbourhood, where
+T(a) is the kernel's exact in-image autocorrelation at a: one table per
+edge class, the plain autocorrelation inside the image."""
 
 import numpy as np
 
@@ -75,25 +79,25 @@ def white_noise_threshold(c, rng):
     return (c > u).astype(np.float64)
 
 
-def _window_dot(e, k, y, x, half, hgt, wid):
-    # sum over the in-image part of the kernel window centred at (y, x)
-    y0, y1 = max(0, y - half), min(hgt, y + half + 1)
-    x0, x1 = max(0, x - half), min(wid, x + half + 1)
-    ks = k[y0 - y + half:y1 - y + half, x0 - x + half:x1 - x + half]
-    return float(np.sum(e[y0:y1, x0:x1] * ks))
+def edge_autocorrelation(k, top, bottom, left, right):
+    """In-image autocorrelation of kernel k around a pixel a whose window
+    keeps top rows above a, bottom rows below, left columns to its left and
+    right to its right inside the image (each at most K // 2).
 
-
-def _cross_term(k, ya, xa, yb, xb, half, hgt, wid):
-    # sum_j K[j-a] * K[j-b] over in-image j in both windows
-    y0 = max(0, ya - half, yb - half)
-    y1 = min(hgt, ya + half + 1, yb + half + 1)
-    x0 = max(0, xa - half, xb - half)
-    x1 = min(wid, xa + half + 1, xb + half + 1)
-    if y0 >= y1 or x0 >= x1:
-        return 0.0
-    ka = k[y0 - ya + half:y1 - ya + half, x0 - xa + half:x1 - xa + half]
-    kb = k[y0 - yb + half:y1 - yb + half, x0 - xb + half:x1 - xb + half]
-    return float(np.sum(ka * kb))
+    Returns the (2K-1)^2 table T with T[p - a + K - 1] = sum_j K[j-a] K[j-p]
+    over in-image j. Its centre is the window energy sum_j K[j-a]^2, its
+    lag-(b - a) entry is the swap cross term of a and b, and adding d T to
+    corr(e, k) around a is the exact update for h[a] += d.
+    """
+    size = k.shape[0]
+    half = size // 2
+    inside = np.zeros_like(k)
+    rows = slice(half - top, half + bottom + 1)
+    cols = slice(half - left, half + right + 1)
+    inside[rows, cols] = k[rows, cols]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(inside, size - 1), k.shape)
+    return np.einsum("pqij,ij->pq", windows, k)
 
 
 def dbs_search(c, rng=None, hvs_cfg=None, seed_halftone=None, max_sweeps=20):
@@ -115,55 +119,77 @@ def dbs_search(c, rng=None, hvs_cfg=None, seed_halftone=None, max_sweeps=20):
     kernel = build_kernel(hvs_cfg or HvsConfig())
     k = kernel.weights
     half = kernel.size // 2
+    span = 2 * half
     hgt, wid = c.shape
     n = c.size
 
     e = convolve_same(h, kernel) - convolve_same(c, kernel)
+    # ce[a] = sum_j e[j] K[j-a]: the convolution flips the kernel back
+    ce = convolve_same(e, k[::-1, ::-1])
     # in-image window energy sum_j K^2[(j-a)]: feed the flipped square so the
     # convolution's own flip cancels
-    k2 = convolve_same(np.ones_like(c), (k * k)[::-1, ::-1])
+    k2 = convolve_same(np.ones_like(c), (k * k)[::-1, ::-1]).ravel().tolist()
     sse = float(np.sum(e * e))
     trace = [(0, sse / n)]
 
+    # the autocorrelation table of a pixel depends only on how far its
+    # window reaches past each image edge; a reach of 1 also tells which
+    # swap neighbours exist when the kernel is 1x1
+    reach = max(half, 1)
+    ycls = [(min(y, reach), min(hgt - 1 - y, reach)) for y in range(hgt)]
+    xcls = [(min(x, reach), min(wid - 1 - x, reach)) for x in range(wid)]
+    tables = {}
+
+    def table(y, x):
+        key = ycls[y] + xcls[x]
+        entry = tables.get(key)
+        if entry is None:
+            top, bottom, left, right = (min(r, half) for r in key)
+            t = edge_autocorrelation(k, top, bottom, left, right)
+            # (flat offset, cross term) of each swap neighbour in the image;
+            # a 1x1 kernel has no cross terms
+            swaps = [(dy * wid + dx, float(t[span + dy, span + dx])
+                      if span else 0.0)
+                     for dy, dx in _MOVES
+                     if -key[0] <= dy <= key[1] and -key[2] <= dx <= key[3]]
+            entry = tables[key] = (t, swaps)
+        return entry
+
+    def apply(a, delta):
+        y, x = divmod(a, wid)
+        hv[a] += delta
+        y0, y1 = max(0, y - span), min(hgt, y + span + 1)
+        x0, x1 = max(0, x - span), min(wid, x + span + 1)
+        ce[y0:y1, x0:x1] += delta * table(y, x)[0][
+            y0 - y + span:y1 - y + span, x0 - x + span:x1 - x + span]
+
+    hv = h.ravel().tolist()
+    ce_at = ce.item
+    swaps_at = [table(y, x)[1] for y in range(hgt) for x in range(wid)]
     for sweep in range(1, max_sweeps + 1):
         changed = 0
-        for y in range(hgt):
-            for x in range(wid):
-                da = 1.0 - 2.0 * h[y, x]
-                s1a = _window_dot(e, k, y, x, half, hgt, wid)
-                best = 2.0 * da * s1a + k2[y, x]     # toggle candidate
-                best_move = 0
-                for i, (dy, dx) in enumerate(_MOVES, start=1):
-                    yb, xb = y + dy, x + dx
-                    if not (0 <= yb < hgt and 0 <= xb < wid):
-                        continue
-                    if h[yb, xb] == h[y, x]:
-                        continue                     # equal pixels: identity
-                    db = -da
-                    d = (2.0 * da * s1a + k2[y, x]
-                         + 2.0 * db * _window_dot(e, k, yb, xb, half, hgt, wid)
-                         + k2[yb, xb]
-                         + 2.0 * da * db * _cross_term(k, y, x, yb, xb,
-                                                       half, hgt, wid))
-                    if d < best:
-                        best = d
-                        best_move = i
-                if best < 0.0:
-                    _apply(h, e, k, y, x, da, half, hgt, wid)
-                    if best_move:
-                        dy, dx = _MOVES[best_move - 1]
-                        _apply(h, e, k, y + dy, x + dx, -da, half, hgt, wid)
-                    sse += best
-                    changed += 1
+        for a, swaps in enumerate(swaps_at):
+            ha = hv[a]
+            da = 1.0 - 2.0 * ha
+            best = toggle = 2.0 * da * ce_at(a) + k2[a]
+            best_move = 0
+            db = -da
+            for off, cross in swaps:
+                b = a + off
+                if hv[b] == ha:
+                    continue                     # equal pixels: identity
+                d = (toggle + 2.0 * db * ce_at(b) + k2[b]
+                     + 2.0 * da * db * cross)
+                if d < best:
+                    best = d
+                    best_move = off
+            if best < 0.0:
+                apply(a, da)
+                if best_move:
+                    apply(a + best_move, db)
+                sse += best
+                changed += 1
         if changed == 0:
             break
         trace.append((sweep, sse / n))
-    return h, trace
-
-
-def _apply(h, e, k, y, x, delta, half, hgt, wid):
-    h[y, x] += delta
-    y0, y1 = max(0, y - half), min(hgt, y + half + 1)
-    x0, x1 = max(0, x - half), min(wid, x + half + 1)
-    e[y0:y1, x0:x1] += delta * k[y0 - y + half:y1 - y + half,
-                                 x0 - x + half:x1 - x + half]
+    return np.array(hv).reshape(c.shape), trace

@@ -170,6 +170,12 @@ def _synthesize(c, rng, args, policy):
     raise UsageError(f"unknown method {method!r}")
 
 
+# the largest Bayer matrix (8 MiB of int64) and synthesized spectra image
+# (128 MiB of float64) a command builds up front
+MAX_ORDER = 1024
+MAX_SIZE = 4096
+
+
 def _check_synthesis_flags(args):
     """The one check of the synthesis flags that halftone, eval and
     spectra share (see _synthesis_flags)."""
@@ -185,10 +191,12 @@ def _check_synthesis_flags(args):
     if args.method == "bayer" and (
             args.order < 1 or args.order & (args.order - 1)):
         raise UsageError("--order must be a positive power of two")
+    if args.method == "bayer" and args.order > MAX_ORDER:
+        raise UsageError(f"--order must be at most {MAX_ORDER}")
     if args.max_sweeps < 0:
         raise UsageError("--max-sweeps must be non-negative")
-    if getattr(args, "size", 1) < 1:
-        raise UsageError("--size must be at least 1")
+    if not 1 <= getattr(args, "size", 1) <= MAX_SIZE:
+        raise UsageError(f"--size must lie in [1, {MAX_SIZE}]")
 
 
 def cmd_halftone(args, argv):
@@ -239,6 +247,8 @@ def parse_config(text):
                 out[key] = int(value)
             elif kind is float or kind == "float":
                 out[key] = float(value)
+                if not math.isfinite(out[key]):
+                    raise ValueError(value)
             else:
                 out[key] = value
         except (ValueError, KeyError):

@@ -241,6 +241,12 @@ def load_pgm(path):
         raise NetpbmError(f"maxval {maxval} outside [1, 65535]")
     n = width * height
     if ascii_form:
+        # every sample takes a digit and a separator: bound n by the bytes
+        # left before allocating
+        if n > (len(data) - reader.pos + 1) // 2:
+            raise NetpbmError(
+                f"{width}x{height} samples cannot fit in the "
+                f"{len(data) - reader.pos} bytes after byte {reader.pos}")
         vals = np.empty(n, dtype=np.float64)
         for i in range(n):
             v = reader.int_token(f"sample {i}")

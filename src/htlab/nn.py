@@ -220,6 +220,14 @@ class CheckpointError(ValueError):
     pass
 
 
+def _param_count(in_ch, ch, blocks):
+    """Parameters of PolicyNetwork(ch, blocks, in_ch): 3x3 weights plus a
+    bias per output channel, for the input conv, two convs per residual
+    block and the output conv."""
+    return ((9 * in_ch + 1) * ch + blocks * 2 * (9 * ch + 1) * ch
+            + 9 * ch + 1)
+
+
 def read_checkpoint(path):
     """Returns (meta dict, list of parameter arrays, adam m, adam v).
 
@@ -235,15 +243,23 @@ def read_checkpoint(path):
         raise CheckpointError(f"bad magic {magic!r}")
     if ver != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported version {ver}")
+    if in_ch < 1 or ch < 1:
+        raise CheckpointError(f"empty arch: {in_ch} input channels, "
+                              f"C={ch}")
+    # check the blob against the arch before allocating anything for it
+    n_params = _param_count(in_ch, ch, blocks)
+    body_bytes = len(raw) - _HEADER.size
+    if body_bytes % 8:
+        raise CheckpointError(f"blob of {body_bytes} bytes is not whole "
+                              f"float64 values")
+    if body_bytes // 8 not in (n_params, 3 * n_params):
+        raise CheckpointError(
+            f"blob length {body_bytes // 8} does not match arch "
+            f"(C={ch}, B={blocks}): expected {n_params} or {3 * n_params}")
+    body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     probe = PolicyNetwork(channels=ch, blocks=blocks, in_channels=in_ch)
     shapes = [p.value.shape for p in probe.params()]
     sizes = [int(np.prod(s)) for s in shapes]
-    n_params = sum(sizes)
-    body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    if len(body) not in (n_params, 3 * n_params):
-        raise CheckpointError(
-            f"blob length {len(body)} does not match arch "
-            f"(C={ch}, B={blocks}): expected {n_params} or {3 * n_params}")
     meta = {"in_channels": in_ch, "channels": ch, "blocks": blocks,
             "iteration": iteration, "adam_t": adam_t,
             "rng_state": tuple(rng_state)}

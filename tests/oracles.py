@@ -83,6 +83,109 @@ def reward_brute(h, c, kernel, weights, w_s, c1, c2, gain, region_mask):
     return -mse + w_s * float(np.mean(cs[region_mask]))
 
 
+# swap neighbourhood in the evaluation order of classic.dbs_search
+DBS_MOVES = [(-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1),
+             (-1, -1)]
+
+
+def dbs_brute(c, seed, kernel, max_sweeps=20):
+    """Direct binary search that re-sums every candidate over its kernel
+    window: the toggle, then each unequal 8-neighbour swap in DBS_MOVES
+    order; the best strictly negative delta is applied, ties keep the
+    earlier candidate. Returns (halftone, [(sweep, mse)]), the trace built
+    from the accepted deltas."""
+    h = np.array(seed, dtype=np.float64)
+    hgt, wid = c.shape
+    half = kernel.shape[0] // 2
+
+    def window(y, x):
+        y0, y1 = max(0, y - half), min(hgt, y + half + 1)
+        x0, x1 = max(0, x - half), min(wid, x + half + 1)
+        return (slice(y0, y1), slice(x0, x1),
+                kernel[y0 - y + half:y1 - y + half,
+                       x0 - x + half:x1 - x + half])
+
+    def window_dot(img, y, x):
+        ys, xs, ks = window(y, x)
+        return float(np.sum(img[ys, xs] * ks))
+
+    def cross_term(ya, xa, yb, xb):
+        # sum_j K[j-a] K[j-b] over in-image j in both windows
+        y0 = max(0, ya - half, yb - half)
+        y1 = min(hgt, ya + half + 1, yb + half + 1)
+        x0 = max(0, xa - half, xb - half)
+        x1 = min(wid, xa + half + 1, xb + half + 1)
+        if y0 >= y1 or x0 >= x1:
+            return 0.0
+        ka = kernel[y0 - ya + half:y1 - ya + half,
+                    x0 - xa + half:x1 - xa + half]
+        kb = kernel[y0 - yb + half:y1 - yb + half,
+                    x0 - xb + half:x1 - xb + half]
+        return float(np.sum(ka * kb))
+
+    def apply(y, x, delta):
+        h[y, x] += delta
+        ys, xs, ks = window(y, x)
+        e[ys, xs] += delta * ks
+
+    e = conv2d_same_brute(h, kernel) - conv2d_same_brute(c, kernel)
+    k2 = np.array([[cross_term(y, x, y, x) for x in range(wid)]
+                   for y in range(hgt)])
+    sse = float(np.sum(e * e))
+    trace = [(0, sse / c.size)]
+    for sweep in range(1, max_sweeps + 1):
+        changed = 0
+        for y in range(hgt):
+            for x in range(wid):
+                da = 1.0 - 2.0 * h[y, x]
+                toggle = 2.0 * da * window_dot(e, y, x) + k2[y, x]
+                best, best_move = toggle, None
+                for dy, dx in DBS_MOVES:
+                    yb, xb = y + dy, x + dx
+                    if not (0 <= yb < hgt and 0 <= xb < wid):
+                        continue
+                    if h[yb, xb] == h[y, x]:
+                        continue
+                    db = -da
+                    d = (toggle + 2.0 * db * window_dot(e, yb, xb)
+                         + k2[yb, xb]
+                         + 2.0 * da * db * cross_term(y, x, yb, xb))
+                    if d < best:
+                        best, best_move = d, (yb, xb)
+                if best < 0.0:
+                    apply(y, x, da)
+                    if best_move:
+                        apply(*best_move, -da)
+                    sse += best
+                    changed += 1
+        if changed == 0:
+            break
+        trace.append((sweep, sse / c.size))
+    return h, trace
+
+
+def in_image_autocorrelation_brute(kernel, y, x, hgt, wid):
+    """T[p - a + K - 1] = sum over in-image j of K[j-a] K[j-p] for the
+    pixel a = (y, x), every lag p - a within (K - 1), by explicit loops."""
+    size = kernel.shape[0]
+    half = size // 2
+    span = size - 1
+    out = np.zeros((2 * size - 1, 2 * size - 1))
+    for ly in range(-span, span + 1):
+        for lx in range(-span, span + 1):
+            acc = 0.0
+            for jy in range(y - half, y + half + 1):
+                for jx in range(x - half, x + half + 1):
+                    if not (0 <= jy < hgt and 0 <= jx < wid):
+                        continue
+                    iy, ix = jy - y - ly + half, jx - x - lx + half
+                    if 0 <= iy < size and 0 <= ix < size:
+                        acc += (kernel[jy - y + half, jx - x + half]
+                                * kernel[iy, ix])
+            out[ly + span, lx + span] = acc
+    return out
+
+
 def dft2_brute(x):
     """Direct O(N^2) two-dimensional DFT."""
     hgt, wid = x.shape

@@ -4,7 +4,9 @@ thresholding, and direct binary search.
 The small Floyd-Steinberg traces are worked out by hand; every quantity in
 them is dyadic (halves times sixteenths), so the expected outputs are exact.
 The 3x3 DBS case is checked against exhaustive enumeration of all 512
-binary images.
+binary images. The search itself is checked against the window-sum oracle
+(oracles.dbs_brute), which re-sums every candidate over its kernel window,
+and its autocorrelation tables against an explicit in-image sum.
 """
 
 import numpy as np
@@ -12,8 +14,9 @@ import pytest
 
 import helpers
 import oracles
-from htlab.classic import (bayer_matrix, dbs_search, floyd_steinberg,
-                           ordered_dither, white_noise_threshold)
+from htlab.classic import (bayer_matrix, dbs_search, edge_autocorrelation,
+                           floyd_steinberg, ordered_dither,
+                           white_noise_threshold)
 from htlab.hvs import HvsConfig, build_kernel
 from htlab.imagecore import Rng, constant_image
 from htlab.metrics import MetricConfig, hvs_mse
@@ -120,6 +123,24 @@ def sse_brute(h, c):
     return float(np.sum(e * e))
 
 
+GAUSS5 = HvsConfig(model="gaussian", size=5, sigma=1.5)
+
+
+def assert_matches_oracle(c, cfg, seed, max_sweeps=20):
+    """dbs_search, scoring from its maintained correlation map and edge
+    tables, picks the same moves as re-summing every candidate's window:
+    the same halftone byte for byte, the same trace rows to 1e-12."""
+    h, trace = dbs_search(c, hvs_cfg=cfg, seed_halftone=seed,
+                          max_sweeps=max_sweeps)
+    want_h, want_trace = oracles.dbs_brute(c, seed, build_kernel(cfg).weights,
+                                           max_sweeps=max_sweeps)
+    assert h.tobytes() == want_h.tobytes()
+    assert [row[0] for row in trace] == [row[0] for row in want_trace]
+    for got, want in zip(trace, want_trace):
+        assert abs(got[1] - want[1]) <= 1e-12
+    return trace
+
+
 class TestDbs:
     def _contone(self):
         return np.array([[0.2, 0.7, 0.4],
@@ -199,3 +220,68 @@ class TestDbs:
         c = helpers.natural_crop(size=12, seed=9)
         h, _ = dbs_search(c, rng=Rng(4), hvs_cfg=SMALL_HVS)
         assert set(np.unique(h)).issubset({0.0, 1.0})
+
+
+    @pytest.mark.parametrize("seed", [0, 3, 5, 8])
+    def test_3x3_small_kernel(self, seed):
+        c = self._contone()
+        assert_matches_oracle(c, SMALL_HVS,
+                              white_noise_threshold(c, Rng(seed)))
+
+    def test_8x8_nasanen_every_pixel_a_border_class(self):
+        c = helpers.natural_crop(size=8, seed=5)
+        trace = assert_matches_oracle(c, HvsConfig(),
+                                      white_noise_threshold(c, Rng(17)))
+        assert len(trace) > 2
+
+    def test_16x20_natural_crop_gaussian(self):
+        c = helpers.natural_crop(size=20, seed=3)[:16, :]
+        trace = assert_matches_oracle(c, GAUSS5,
+                                      white_noise_threshold(c, Rng(19)))
+        assert len(trace) > 2
+
+    @pytest.mark.parametrize("max_sweeps", [0, 1])
+    def test_24_gray_seeded_with_sweep_cap(self, max_sweeps):
+        c = constant_image(0.3, 24, 24)
+        trace = assert_matches_oracle(c, HvsConfig(),
+                                      white_noise_threshold(c, Rng(23)),
+                                      max_sweeps=max_sweeps)
+        assert len(trace) == 1 + max_sweeps
+
+    def test_white_noise_seed_is_the_rng_draw(self):
+        c = helpers.natural_crop(size=10, seed=4)
+        assert np.array_equal(
+            dbs_search(c, rng=Rng(6), hvs_cfg=SMALL_HVS)[0],
+            dbs_search(c, hvs_cfg=SMALL_HVS,
+                       seed_halftone=white_noise_threshold(c, Rng(6)))[0])
+
+    def test_exact_tie_keeps_the_earlier_candidate(self):
+        # a 1x1 kernel and dyadic tones make every delta exact. At (0, 0)
+        # the toggle (-0.5) ties with the swaps to its gray-0.5 E and S
+        # neighbours, whose own toggles are worth exactly 0, so the strict
+        # comparison keeps the toggle; E then swaps with SE (-0.5), and S,
+        # worth 0 either way, stays black
+        c = np.array([[0.25, 0.5], [0.5, 0.25]])
+        seed = np.array([[1.0, 0.0], [0.0, 1.0]])
+        cfg = HvsConfig(model="gaussian", size=1, sigma=1.0)
+        trace = assert_matches_oracle(c, cfg, seed)
+        h, _ = dbs_search(c, hvs_cfg=cfg, seed_halftone=seed)
+        assert h.tolist() == [[0.0, 1.0], [0.0, 0.0]]
+        assert trace == [(0, 0.40625), (1, 0.15625)]
+
+    @pytest.mark.parametrize("cfg, hgt, wid", [
+        (GAUSS5, 7, 9),              # interior, every edge and corner class
+        (HvsConfig(), 3, 4),         # image smaller than the 11-tap kernel
+        (SMALL_HVS, 1, 3),
+    ])
+    def test_edge_tables_match_in_image_sums(self, cfg, hgt, wid):
+        k = build_kernel(cfg).weights
+        half = k.shape[0] // 2
+        for y in range(hgt):
+            for x in range(wid):
+                got = edge_autocorrelation(
+                    k, min(y, half), min(hgt - 1 - y, half), min(x, half),
+                    min(wid - 1 - x, half))
+                want = oracles.in_image_autocorrelation_brute(k, y, x, hgt,
+                                                              wid)
+                assert np.max(np.abs(got - want)) <= 1e-15, (y, x)

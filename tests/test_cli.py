@@ -102,6 +102,35 @@ class TestExitCodes:
                          str(tmp_path / "o.pbm"), "--method", "nn",
                          "--checkpoint", str(ck)]) == 3
 
+    def test_p2_header_beyond_its_payload_is_data_error(self, tmp_path):
+        # 10^10 samples claimed in a 20-byte file: rejected before any
+        # sample buffer is allocated
+        bad = tmp_path / "huge.pgm"
+        bad.write_bytes(b"P2 100000 100000 255")
+        assert cli.main(["halftone", "--input", str(bad), "--output",
+                         str(tmp_path / "o.pbm"), "--method", "fs"]) == 3
+
+    def test_checkpoint_arch_beyond_its_blob_is_data_error(
+            self, contone, tiny_checkpoint, tmp_path):
+        # a header claiming 60000 channels and one residual block (two
+        # 60000^2 x 3 x 3 convs): rejected before any network is built
+        raw = bytearray(Path(tiny_checkpoint).read_bytes())
+        raw[12:16] = (60000).to_bytes(4, "little")
+        raw[16:20] = (1).to_bytes(4, "little")
+        ck = tmp_path / "wide.htnn"
+        ck.write_bytes(bytes(raw))
+        assert cli.main(["halftone", "--input", contone, "--output",
+                         str(tmp_path / "o.pbm"), "--method", "nn",
+                         "--checkpoint", str(ck)]) == 3
+
+    def test_checkpoint_blob_of_partial_floats_is_data_error(
+            self, contone, tiny_checkpoint, tmp_path):
+        ck = tmp_path / "ragged.htnn"
+        ck.write_bytes(Path(tiny_checkpoint).read_bytes() + b"\x00" * 13)
+        assert cli.main(["halftone", "--input", contone, "--output",
+                         str(tmp_path / "o.pbm"), "--method", "nn",
+                         "--checkpoint", str(ck)]) == 3
+
 
 class TestHalftoneFlags:
     @pytest.mark.parametrize("extra", [
@@ -127,6 +156,7 @@ class TestHalftoneFlags:
         ("dbs", ["--max-sweeps", "-1"]),
         # beyond the PGM maxval; rejected before the checkpoint is opened
         ("nn", ["--checkpoint", "absent.htnn", "--levels", "65537"]),
+        ("bayer", ["--order", "2048"]),          # above MAX_ORDER
     ])
     def test_every_synthesizing_command_checks_the_shared_flags(
             self, contone, tmp_path, command, method, extra):
@@ -218,6 +248,14 @@ class TestConfigParsing:
     def test_bad_value_rejected(self):
         with pytest.raises(cli.UsageError, match="ten"):
             cli.parse_config("iterations = ten\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected(self, tmp_path, value):
+        with pytest.raises(cli.UsageError, match="lr_start"):
+            cli.parse_config(f"lr_start = {value}\n")
+        cfg, _ = train_config(tmp_path, lr_start=value)
+        assert cli.main(["train", "--config", cfg]) == 2
+        assert not (tmp_path / "run").exists()
 
     def test_missing_equals_rejected(self):
         with pytest.raises(cli.UsageError, match="line 1"):
@@ -407,6 +445,8 @@ class TestSpectra:
          "--realizations", "0"],                         # bad realizations
         ["--method", "nn", "--gray", "0.5"],             # nn w/o checkpoint
         ["--gray", "0.5", "--method", "white", "--size", "0"],  # empty image
+        ["--gray", "0.5", "--method", "white",
+         "--size", "100000"],                            # above MAX_SIZE
     ])
     def test_flag_validation(self, tmp_path, extra):
         assert cli.main(["spectra", "--output",

@@ -15,7 +15,8 @@ edge class, the plain autocorrelation inside the image."""
 import numpy as np
 
 from .hvs import HvsConfig, build_kernel, convolve_same
-from .imagecore import validate_contone
+from .imagecore import validate_contone, validate_halftone
+from .metrics import sse_delta_terms
 
 # swap neighborhood in fixed evaluation order (after the toggle candidate)
 _MOVES = [(-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1)]  # N NE E SE S SW W NW
@@ -113,7 +114,7 @@ def dbs_search(c, rng=None, hvs_cfg=None, seed_halftone=None, max_sweeps=20):
             raise ValueError("dbs_search needs an rng when no seed is given")
         h = white_noise_threshold(c, rng)
     else:
-        h = np.array(seed_halftone, dtype=np.float64)
+        h = validate_halftone(seed_halftone)
         if h.shape != c.shape:
             raise ValueError("seed halftone shape mismatch")
     kernel = build_kernel(hvs_cfg or HvsConfig())
@@ -124,11 +125,8 @@ def dbs_search(c, rng=None, hvs_cfg=None, seed_halftone=None, max_sweeps=20):
     n = c.size
 
     e = convolve_same(h, kernel) - convolve_same(c, kernel)
-    # ce[a] = sum_j e[j] K[j-a]: the convolution flips the kernel back
-    ce = convolve_same(e, k[::-1, ::-1])
-    # in-image window energy sum_j K^2[(j-a)]: feed the flipped square so the
-    # convolution's own flip cancels
-    k2 = convolve_same(np.ones_like(c), (k * k)[::-1, ::-1]).ravel().tolist()
+    ce, k2 = sse_delta_terms(e, kernel)
+    k2 = k2.ravel().tolist()
     sse = float(np.sum(e * e))
     trace = [(0, sse / n)]
 

@@ -308,14 +308,20 @@ def cmd_train(args, argv):
                             rng_state=rng.state_words())
             checkpoints.append(path)
 
-    net, adam, rng = rl.train_loop(cfg, dataset, resume_path=args.resume,
-                                   on_iteration=on_iteration)
+    log_path = os.path.join(cfg.out_dir, "log.csv")
+    log_columns = ("iteration", "reward", "l_as", "bin_gap", "lr")
+    try:
+        net, adam, rng = rl.train_loop(cfg, dataset, resume_path=args.resume,
+                                       on_iteration=on_iteration)
+    except FloatingPointError as exc:
+        # keep what the run produced before it diverged: the rows logged so
+        # far and the checkpoints already written
+        _write_csv(log_path, log_columns, log_rows)
+        raise DataError(str(exc)) from exc
     model_path = os.path.join(cfg.out_dir, "model.htnn")
     save_checkpoint(model_path, net, adam, iteration=cfg.iterations,
                     rng_state=rng.state_words())
-    log_path = os.path.join(cfg.out_dir, "log.csv")
-    _write_csv(log_path, ("iteration", "reward", "l_as", "bin_gap", "lr"),
-               log_rows)
+    _write_csv(log_path, log_columns, log_rows)
     resolved = dict(_resolved(args), config_values=vars(cfg).copy())
     write_manifest(os.path.join(cfg.out_dir, "manifest.json"), "train", argv,
                    resolved, cfg.seed,

@@ -1,21 +1,19 @@
-"""Halftone quality metrics and the per-pixel reward machinery.
+"""Halftone quality metrics and the reward the policy is trained on.
 
 The scalar objective is R = -MSE(HVS(h), HVS(c)) + w_s * CSSIM(h, c), which
 decomposes pixelwise as r_a = -e_a + w_s * cssim_a with R = mean(r). CSSIM is
 SSIM blended toward 1 by a local contrast map of the contone, so flat regions
 stop penalizing structure they do not have.
 
-Two evaluation regions exist: 'full' uses zero-padded maps everywhere (every
-pixel gets a defined reward, used during training and search), 'valid'
-averages only over pixels whose filter and SSIM windows fit inside the image
-(used for reported numbers).
+The scored metrics take a region: 'valid' averages only over pixels whose
+filter and SSIM windows fit inside the image (used for reported numbers),
+'full' over every pixel of the zero-padded maps. The training reward is
+always full-region.
 
-RewardContext caches everything needed to answer "what does the reward become
-if one pixel changes value" in O(window) instead of O(image): a pixel edit
-moves the filtered map and the SSIM statistics only inside the surrounding
-windows. substitution_delta recomputes those windows from the raw pixels for
-both states, so delta(flip) after apply is the exact negation of delta(flip)
-before it, bit for bit.
+RewardContext holds the maps of one (halftone, contone) pair, and delta_map
+answers "what does R become if pixel a takes value v[a]" for every pixel at
+once: the error term from sse_delta_terms, the same two maps DBS scores its
+moves with, and the CSSIM term by one pass per SSIM window offset.
 """
 
 import functools
@@ -25,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hvs
-from .hvs import HvsConfig, HvsKernel, convolve_same
+from .hvs import HvsConfig, convolve_same
 
 
 @dataclass(frozen=True)
@@ -72,15 +70,18 @@ def region_mask(shape, cfg, region):
     return mask
 
 
+def _region_mean(values, cfg, region):
+    """Mean of a metric map over the region; NaN when the region is empty."""
+    mask = region_mask(values.shape, cfg, region)
+    return float(values[mask].mean()) if mask.any() else math.nan
+
+
 def hvs_mse(h, c, cfg=None, region="valid"):
     """Mean squared error between HVS-filtered halftone and contone."""
     cfg = cfg or MetricConfig()
     k = _cached_kernel(cfg.hvs)
-    e = (convolve_same(h, k) - convolve_same(c, k)) ** 2
-    mask = region_mask(e.shape, cfg, region)
-    if not mask.any():
-        return math.nan
-    return float(e[mask].mean())
+    return _region_mean((convolve_same(h, k) - convolve_same(c, k)) ** 2,
+                        cfg, region)
 
 
 def psnr(mse):
@@ -93,8 +94,9 @@ def psnr(mse):
 
 
 def _ssim_from_stats(mu_x, mu_y, sxx, syy, sxy, c1, c2):
-    """Three-term SSIM (luminance * contrast * structure) from raw windowed
-    sums sxx=E[x^2], syy=E[y^2], sxy=E[xy]. Variances clamp at zero."""
+    """Three-term SSIM map (luminance * contrast * structure) from raw
+    windowed sums sxx=E[x^2], syy=E[y^2], sxy=E[xy]. Variances clamp at
+    zero."""
     vx = np.maximum(sxx - mu_x * mu_x, 0.0)
     vy = np.maximum(syy - mu_y * mu_y, 0.0)
     cov = sxy - mu_x * mu_y
@@ -104,258 +106,101 @@ def _ssim_from_stats(mu_x, mu_y, sxx, syy, sxy, c1, c2):
     lum = (2.0 * mu_x * mu_y + c1) / (mu_x * mu_x + mu_y * mu_y + c1)
     con = (2.0 * sx * sy + c2) / (vx + vy + c2)
     struct = (cov + c3) / (sx * sy + c3)
-    return lum * con * struct, lum, con, struct
+    return lum * con * struct
 
 
-@dataclass
-class SsimMaps:
-    ssim: np.ndarray
-    luminance: np.ndarray
-    contrast: np.ndarray
-    structure: np.ndarray
+def _window_stats(h, c, cfg):
+    """Gaussian-window sums (mu_h, mu_c, E[h^2], E[c^2], E[hc]) and the
+    contone's local contrast sigma_c = min(gain * windowed std of c, 1)."""
+    w = _window_weights(cfg.ssim_window, cfg.ssim_sigma)
+    mu_c = _corr(c, w)
+    scc = _corr(c * c, w)
+    var_c = np.maximum(scc - mu_c * mu_c, 0.0)
+    sigma_c = np.minimum(cfg.contrast_gain * np.sqrt(var_c), 1.0)
+    return _corr(h, w), mu_c, _corr(h * h, w), scc, _corr(h * c, w), sigma_c
 
 
 def ssim(x, y, cfg=None, region="valid"):
-    """SSIM scalar and component maps over Gaussian-weighted windows."""
+    """SSIM scalar and map over Gaussian-weighted windows."""
     cfg = cfg or MetricConfig()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    w = _window_weights(cfg.ssim_window, cfg.ssim_sigma)
-    mu_x = _corr(x, w)
-    mu_y = _corr(y, w)
-    sxx = _corr(x * x, w)
-    syy = _corr(y * y, w)
-    sxy = _corr(x * y, w)
-    s, lum, con, struct = _ssim_from_stats(mu_x, mu_y, sxx, syy, sxy,
-                                           cfg.c1, cfg.c2)
-    maps = SsimMaps(s, lum, con, struct)
-    mask = region_mask(x.shape, cfg, region)
-    scalar = float(s[mask].mean()) if mask.any() else math.nan
-    return scalar, maps
-
-
-def contrast_map(c, cfg=None):
-    """Local contrast of the contone: gain * windowed std, clipped to [0,1]."""
-    cfg = cfg or MetricConfig()
-    c = np.asarray(c, dtype=np.float64)
-    w = _window_weights(cfg.ssim_window, cfg.ssim_sigma)
-    mu = _corr(c, w)
-    var = np.maximum(_corr(c * c, w) - mu * mu, 0.0)
-    return np.minimum(cfg.contrast_gain * np.sqrt(var), 1.0)
+    s = _ssim_from_stats(*_window_stats(x, y, cfg)[:5], cfg.c1, cfg.c2)
+    return _region_mean(s, cfg, region), s
 
 
 def cssim(h, c, cfg=None, region="valid"):
     """Contrast-weighted SSIM: sigma_c * SSIM + (1 - sigma_c) * 1."""
     cfg = cfg or MetricConfig()
-    _, maps = ssim(h, c, cfg, region)
-    sc = contrast_map(c, cfg)
-    cs_map = sc * maps.ssim + (1.0 - sc)
-    mask = region_mask(cs_map.shape, cfg, region)
-    scalar = float(cs_map[mask].mean()) if mask.any() else math.nan
-    return scalar, cs_map
+    h = np.asarray(h, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    *sums, sc = _window_stats(h, c, cfg)
+    cs_map = sc * _ssim_from_stats(*sums, cfg.c1, cfg.c2) + (1.0 - sc)
+    return _region_mean(cs_map, cfg, region), cs_map
+
+
+def sse_delta_terms(e, kernel):
+    """The maps (ce, k2) that price a pixel edit in the filtered squared
+    error: h[a] += d changes sum(e^2) by 2 d ce[a] + d^2 k2[a], where e is
+    the filtered error, ce = corr(e, K) and k2[a] = sum_j K[j - a]^2 over
+    in-image j."""
+    kf = _corr_stencil(kernel.weights)
+    return convolve_same(e, kf), convolve_same(np.ones_like(e), kf * kf)
 
 
 class RewardContext:
-    """All maps needed to evaluate R and answer pixel-edit deltas cheaply.
+    """The full-region reward R of halftone h against contone c, with the
+    maps delta_map reads.
 
-    eval_count tracks reward-evaluation work units: building the context is 1
-    and each pixel-edit delta is 1 (delta_map counts one per pixel).
+    eval_count tracks reward-evaluation work units: building the context is
+    1 and delta_map counts one per pixel.
     """
 
-    def __init__(self, h, c, cfg, region):
+    def __init__(self, h, c, cfg):
         self.cfg = cfg
-        self.region = region
         self.c = np.asarray(c, dtype=np.float64)
         self.h = np.asarray(h, dtype=np.float64).copy()
         if self.c.shape != self.h.shape:
             raise ValueError("halftone and contone shapes differ")
         self.kernel = _cached_kernel(cfg.hvs)
-        self.kf = _corr_stencil(self.kernel.weights)
         self.w = _window_weights(cfg.ssim_window, cfg.ssim_sigma)
-        self.mask = region_mask(self.c.shape, cfg, region)
-        self.n_region = int(self.mask.sum())
-        if self.n_region == 0:
-            raise ValueError("evaluation region is empty for this image size")
-        # contone-side maps never change under halftone edits
-        self.f_c = convolve_same(self.c, self.kernel)
-        self.mu_c = _corr(self.c, self.w)
-        self.scc = _corr(self.c * self.c, self.w)
-        var_c = np.maximum(self.scc - self.mu_c * self.mu_c, 0.0)
-        self.sigma_c = np.minimum(cfg.contrast_gain * np.sqrt(var_c), 1.0)
-        self.eval_count = 0
-        self._rebuild()
-
-    def _rebuild(self):
-        self.f_h = convolve_same(self.h, self.kernel)
-        self.e = self.f_h - self.f_c
-        self.sq_err = self.e * self.e
-        self.mu_h = _corr(self.h, self.w)
-        self.shh = _corr(self.h * self.h, self.w)
-        self.shc = _corr(self.h * self.c, self.w)
-        s, lum, con, struct = _ssim_from_stats(
-            self.mu_h, self.mu_c, self.shh, self.scc, self.shc,
-            self.cfg.c1, self.cfg.c2)
-        self.ssim_maps = SsimMaps(s, lum, con, struct)
-        self.cssim_map = self.sigma_c * s + (1.0 - self.sigma_c)
-        self.reward_map = -self.sq_err + self.cfg.w_s * self.cssim_map
-        self.mse = float(self.sq_err[self.mask].mean())
-        self.cssim_scalar = float(self.cssim_map[self.mask].mean())
-        self.reward = -self.mse + self.cfg.w_s * self.cssim_scalar
-        self.eval_count += 1
+        self.e = (convolve_same(self.h, self.kernel)
+                  - convolve_same(self.c, self.kernel))
+        (self.mu_h, self.mu_c, self.shh, self.scc, self.shc,
+         self.sigma_c) = _window_stats(self.h, self.c, cfg)
+        self.ssim_map = _ssim_from_stats(self.mu_h, self.mu_c, self.shh,
+                                         self.scc, self.shc, cfg.c1, cfg.c2)
+        self.cssim_map = self.sigma_c * self.ssim_map + (1.0 - self.sigma_c)
+        sq_err = self.e * self.e
+        self.reward_map = -sq_err + cfg.w_s * self.cssim_map
+        self.mse = float(sq_err.mean())
+        self.cssim_scalar = float(self.cssim_map.mean())
+        self.reward = -self.mse + cfg.w_s * self.cssim_scalar
+        self.eval_count = 1
 
 
-def reward(h, c, cfg=None, region="full"):
+def reward(h, c, cfg=None):
     """Build a RewardContext; .reward is the scalar R."""
-    return RewardContext(h, c, cfg or MetricConfig(), region)
-
-
-def _extract(arr, y0, y1, x0, x1):
-    """arr[y0:y1, x0:x1] with zero fill outside bounds (matches zero-padded
-    window sums at the borders)."""
-    hgt, wid = arr.shape
-    out = np.zeros((y1 - y0, x1 - x0), dtype=np.float64)
-    ys, ye = max(y0, 0), min(y1, hgt)
-    xs, xe = max(x0, 0), min(x1, wid)
-    if ys < ye and xs < xe:
-        out[ys - y0:ye - y0, xs - x0:xe - x0] = arr[ys:ye, xs:xe]
-    return out
-
-
-def _patch_windows(patch, stencil):
-    """Correlation of a (2m+1+2h)^2 patch with a (2h+1)^2 stencil, valid
-    part only: output (2m+1)^2, the window sums centred on the patch core."""
-    k = stencil.shape[0]
-    win = np.lib.stride_tricks.sliding_window_view(patch, (k, k))
-    return np.tensordot(win, stencil, axes=([2, 3], [0, 1]))
-
-
-def substitution_delta(ctx, a, new_value):
-    """R(h with pixel a set to new_value) - R(h), from fresh local windows.
-
-    Pure function of the current pixels: calling it again after applying the
-    edit returns the exact bitwise negation.
-    """
-    hgt, wid = ctx.h.shape
-    if not 0 <= a < hgt * wid:
-        raise IndexError("pixel index out of range")
-    y, x = divmod(a, wid)
-    old_value = ctx.h[y, x]
-    ctx.eval_count += 1
-    if new_value == old_value:
-        return 0.0
-
-    cfg = ctx.cfg
-    dsse = _local_sse(ctx, y, x, new_value)
-    dcs = _local_cssim_sum(ctx, y, x, new_value) if cfg.w_s != 0.0 else 0.0
-    return (-dsse + cfg.w_s * dcs) / ctx.n_region
-
-
-def _local_sse(ctx, y, x, new_value):
-    kh = ctx.kernel.size // 2
-    # filtered map changes only within kh of (y, x); recompute it there from
-    # the raw pixels for both states
-    patch = _extract(ctx.h, y - 2 * kh, y + 2 * kh + 1, x - 2 * kh, x + 2 * kh + 1)
-    f_old = _patch_windows(patch, ctx.kf)
-    patch[2 * kh, 2 * kh] = new_value
-    f_new = _patch_windows(patch, ctx.kf)
-    fc = _extract(ctx.f_c, y - kh, y + kh + 1, x - kh, x + kh + 1)
-    inside = _window_region_mask(ctx, y, x, kh)
-    e_old = (f_old - fc)[inside]
-    e_new = (f_new - fc)[inside]
-    return float(np.sum(e_new * e_new - e_old * e_old))
-
-
-def _local_cssim_sum(ctx, y, x, new_value):
-    wh = ctx.cfg.ssim_window // 2
-    w = ctx.w
-    c_patch = _extract(ctx.c, y - 2 * wh, y + 2 * wh + 1, x - 2 * wh, x + 2 * wh + 1)
-    h_patch = _extract(ctx.h, y - 2 * wh, y + 2 * wh + 1, x - 2 * wh, x + 2 * wh + 1)
-
-    def stats(hp):
-        mu = _patch_windows(hp, w)
-        shh = _patch_windows(hp * hp, w)
-        shc = _patch_windows(hp * c_patch, w)
-        return mu, shh, shc
-
-    mu_c = _extract(ctx.mu_c, y - wh, y + wh + 1, x - wh, x + wh + 1)
-    scc = _extract(ctx.scc, y - wh, y + wh + 1, x - wh, x + wh + 1)
-    sc = _extract(ctx.sigma_c, y - wh, y + wh + 1, x - wh, x + wh + 1)
-
-    mu0, shh0, shc0 = stats(h_patch)
-    s_old, _, _, _ = _ssim_from_stats(mu0, mu_c, shh0, scc, shc0,
-                                      ctx.cfg.c1, ctx.cfg.c2)
-    h_patch[2 * wh, 2 * wh] = new_value
-    mu1, shh1, shc1 = stats(h_patch)
-    s_new, _, _, _ = _ssim_from_stats(mu1, mu_c, shh1, scc, shc1,
-                                      ctx.cfg.c1, ctx.cfg.c2)
-    inside = _window_region_mask(ctx, y, x, wh)
-    return float(np.sum((sc * (s_new - s_old))[inside]))
-
-
-def _window_region_mask(ctx, y, x, half):
-    """Which cells of the (2*half+1)^2 window around (y, x) are in-image and
-    inside the evaluation region."""
-    hgt, wid = ctx.h.shape
-    yy = np.arange(y - half, y + half + 1)
-    xx = np.arange(x - half, x + half + 1)
-    ok_y = (yy >= 0) & (yy < hgt)
-    ok_x = (xx >= 0) & (xx < wid)
-    inside = np.zeros((2 * half + 1, 2 * half + 1), dtype=bool)
-    if ok_y.any() and ok_x.any():
-        sub = ctx.mask[np.clip(yy, 0, hgt - 1)[:, None],
-                       np.clip(xx, 0, wid - 1)[None, :]]
-        inside = sub & ok_y[:, None] & ok_x[None, :]
-    return inside
-
-
-def toggle_delta(ctx, a):
-    """Reward change from flipping binary pixel a."""
-    y, x = divmod(a, ctx.h.shape[1])
-    old = ctx.h[y, x]
-    if old not in (0.0, 1.0):
-        raise ValueError("toggle_delta requires a binary halftone pixel")
-    return substitution_delta(ctx, a, 1.0 - old)
-
-
-def apply_substitution(ctx, a, new_value):
-    """Commit a pixel edit; halftone-side maps are rebuilt from scratch."""
-    y, x = divmod(a, ctx.h.shape[1])
-    ctx.h[y, x] = new_value
-    ctx._rebuild()
-    ctx.eval_count -= 1   # rebuild is bookkeeping, not a new reward query
-
-
-def apply_toggle(ctx, a):
-    y, x = divmod(a, ctx.h.shape[1])
-    apply_substitution(ctx, a, 1.0 - ctx.h[y, x])
+    return RewardContext(h, c, cfg or MetricConfig())
 
 
 def delta_map(ctx, other_values):
-    """Vectorized R(pixel a -> other_values[a]) - R(h) for every a at once.
+    """R(h with pixel a set to other_values[a]) - R(h) for every a at once.
 
     Work is one correlation for the error term plus one pass per SSIM window
-    offset, i.e. O(N * window) total, the same as N single-pixel deltas.
+    offset, i.e. O(N * window) in all.
     """
     other = np.asarray(other_values, dtype=np.float64)
     if other.shape != ctx.h.shape:
         raise ValueError("other_values shape mismatch")
-    hgt, wid = ctx.h.shape
-    ctx.eval_count += hgt * wid
+    ctx.eval_count += other.size
     delta = other - ctx.h
-
-    mask_f = ctx.mask.astype(np.float64)
-    e_in = ctx.e * mask_f if ctx.region == "valid" else ctx.e
-    # d(SSE)/d(edit): 2*delta*sum(e*coeff) + delta^2*sum(coeff^2), coeffs are
-    # the correlation stencil entries clipped to the region
-    ce = convolve_same(e_in, ctx.kf)
-    k2 = convolve_same(mask_f if ctx.region == "valid"
-                       else np.ones_like(mask_f), ctx.kf * ctx.kf)
+    ce, k2 = sse_delta_terms(ctx.e, ctx.kernel)
     dsse = 2.0 * delta * ce + delta * delta * k2
-
     if ctx.cfg.w_s != 0.0:
         dcs = _delta_cssim_map(ctx, delta)
-        return (-dsse + ctx.cfg.w_s * dcs) / ctx.n_region
-    return -dsse / ctx.n_region
+        return (-dsse + ctx.cfg.w_s * dcs) / other.size
+    return -dsse / other.size
 
 
 def _delta_cssim_map(ctx, delta):
@@ -365,7 +210,6 @@ def _delta_cssim_map(ctx, delta):
     wh = ctx.cfg.ssim_window // 2
     out = np.zeros_like(delta)
     c1, c2 = ctx.cfg.c1, ctx.cfg.c2
-    use_mask = ctx.region == "valid"
     for dy in range(-wh, wh + 1):
         y0, y1 = max(0, -dy), min(hgt, hgt - dy)
         if y0 >= y1:
@@ -383,10 +227,7 @@ def _delta_cssim_map(ctx, delta):
             mu1 = ctx.mu_h[sb] + wd * dv
             shh1 = ctx.shh[sb] + wd * (2.0 * hv * dv + dv * dv)
             shc1 = ctx.shc[sb] + wd * dv * cv
-            s_new, _, _, _ = _ssim_from_stats(mu1, ctx.mu_c[sb], shh1,
-                                              ctx.scc[sb], shc1, c1, c2)
-            term = ctx.sigma_c[sb] * (s_new - ctx.ssim_maps.ssim[sb])
-            if use_mask:
-                term = term * ctx.mask[sb]
-            out[sa] += term
+            s_new = _ssim_from_stats(mu1, ctx.mu_c[sb], shh1, ctx.scc[sb],
+                                     shc1, c1, c2)
+            out[sa] += ctx.sigma_c[sb] * (s_new - ctx.ssim_map[sb])
     return out

@@ -16,7 +16,7 @@ Three gradient estimators produce dL/dp to inject at the sigmoid output:
              reward difference
 
 All three need at most N+1 reward evaluations per sample: one full build
-plus N window-local deltas.
+plus one delta_map over the N pixels.
 """
 
 import math
@@ -82,11 +82,11 @@ class EpisodeSample:
 
 
 def make_sample(p, c, z, rng, cfg=None, level_count=2):
-    """Sample an action map from the factorized policy and build its reward
-    context (training region: full zero-padded maps)."""
+    """Sample an action map from the factorized policy and build its
+    full-region reward context."""
     floor_vals, ceil_vals, p_ceil = _cast_two_point(p, level_count)
     m = _sample_two_point(floor_vals, ceil_vals, p_ceil, rng)
-    ctx = metrics.reward(m, c, cfg or MetricConfig(), region="full")
+    ctx = metrics.reward(m, c, cfg or MetricConfig())
     return EpisodeSample(c=c, z=z, p=np.asarray(p, dtype=np.float64), m=m,
                          floor_vals=floor_vals, ceil_vals=ceil_vals,
                          p_ceil=p_ceil, level_count=level_count, ctx=ctx)
@@ -133,34 +133,6 @@ def reinforce_signal(sample, baseline=0.0):
     if sample.level_count != 2:
         raise ValueError("reinforce_signal requires a binary policy")
     return -_dlogpi(sample.p, sample.m) * (sample.ctx.reward - baseline)
-
-
-def exact_gradient_oracle(p, c, cfg=None, region="full", level_count=2):
-    """Brute-force d E[R] / d p by enumerating every joint action map.
-
-    Guarded to at most 20 pixels. For multitone policies p is the value map
-    and the derivative is with respect to it (upper-level mass moves at
-    1/delta per unit value).
-    """
-    p = np.asarray(p, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    n = p.size
-    if n > 20:
-        raise ValueError("oracle enumeration limited to 20 pixels")
-    cfg = cfg or MetricConfig()
-    floor_vals, ceil_vals, p_ceil = _cast_two_point(p, level_count)
-    fv, cv, q_up = (a.ravel() for a in (floor_vals, ceil_vals, p_ceil))
-    inv_delta = float(level_count - 1)
-    grad = np.zeros(n)
-    for bits in range(1 << n):
-        sel = np.array([(bits >> j) & 1 for j in range(n)], dtype=np.float64)
-        m = np.where(sel == 1.0, cv, fv)
-        q = np.where(sel == 1.0, q_up, 1.0 - q_up)
-        r = metrics.reward(m.reshape(p.shape), c, cfg, region).reward
-        for a in range(n):
-            others = np.prod(np.delete(q, a))
-            grad[a] += r * (1.0 if sel[a] == 1.0 else -1.0) * others * inv_delta
-    return grad.reshape(p.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +266,11 @@ def train_loop(cfg, dataset, resume_path=None, on_iteration=None):
         start = meta["iteration"]
         rng.set_state_words(meta["rng_state"])
     for t in range(start, cfg.iterations):
-        diag = train_step(net, adam, dataset, cfg, rng, t)
+        try:
+            diag = train_step(net, adam, dataset, cfg, rng, t)
+        except FloatingPointError as exc:
+            raise FloatingPointError(
+                f"training diverged at iteration {t + 1}: {exc}") from exc
         if on_iteration is not None:
             on_iteration(t, diag, net, adam, rng)
     return net, adam, rng

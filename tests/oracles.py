@@ -4,10 +4,15 @@ Everything here is written the slow, obvious way: explicit loops, direct
 DFT sums, no shared code with the package. Agreement between these and the
 vectorized implementations is evidence, not tautology. Kernel and window
 WEIGHTS are passed in as plain arrays so these functions depend only on
-array arithmetic.
+array arithmetic. The one exception is exact_gradient_oracle: it checks the
+gradient estimators, so it enumerates the package's own reward and cast.
 """
 
 import numpy as np
+
+from htlab import metrics
+from htlab.metrics import MetricConfig
+from htlab.rl import _cast_two_point
 
 
 def conv2d_same_brute(img, kernel):
@@ -225,3 +230,31 @@ def enumerate_bit_maps(shape):
     for bits in range(1 << n):
         yield np.array([(bits >> k) & 1 for k in range(n)],
                        dtype=np.float64).reshape(shape)
+
+
+def exact_gradient_oracle(p, c, cfg=None, level_count=2):
+    """Brute-force d E[R] / d p by enumerating every joint action map.
+
+    Guarded to at most 20 pixels. For multitone policies p is the value map
+    and the derivative is with respect to it (upper-level mass moves at
+    1/delta per unit value).
+    """
+    p = np.asarray(p, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    n = p.size
+    if n > 20:
+        raise ValueError("oracle enumeration limited to 20 pixels")
+    cfg = cfg or MetricConfig()
+    floor_vals, ceil_vals, p_ceil = _cast_two_point(p, level_count)
+    fv, cv, q_up = (a.ravel() for a in (floor_vals, ceil_vals, p_ceil))
+    inv_delta = float(level_count - 1)
+    grad = np.zeros(n)
+    for bits in range(1 << n):
+        sel = np.array([(bits >> j) & 1 for j in range(n)], dtype=np.float64)
+        m = np.where(sel == 1.0, cv, fv)
+        q = np.where(sel == 1.0, q_up, 1.0 - q_up)
+        r = metrics.reward(m.reshape(p.shape), c, cfg).reward
+        for a in range(n):
+            others = np.prod(np.delete(q, a))
+            grad[a] += r * (1.0 if sel[a] == 1.0 else -1.0) * others * inv_delta
+    return grad.reshape(p.shape)

@@ -33,16 +33,16 @@ from htlab.classic import (dbs_search, floyd_steinberg, ordered_dither,
                            white_noise_threshold)
 from htlab.hvs import HvsConfig
 from htlab.imagecore import Rng, constant_image, save_pgm
-from htlab.metrics import MetricConfig, cssim, hvs_mse, psnr, ssim, toggle_delta
+from htlab.metrics import MetricConfig, cssim, delta_map, hvs_mse, psnr, ssim
 from htlab.metrics import reward as build_reward
 from htlab.multitone import LevelSet, infer_multitone
 from htlab.nn import Conv2d, PolicyNetwork
-from htlab.rl import (TrainConfig, coma_signal, exact_gradient_oracle,
-                      infer_halftone, le_signal, reinforce_signal,
-                      sample_actions, train_loop)
+from htlab.rl import (TrainConfig, coma_signal, infer_halftone, le_signal,
+                      reinforce_signal, sample_actions, train_loop)
 from htlab.spectral import (anisotropy_db, anisotropy_loss,
                             anisotropy_loss_backward, periodogram, rapsd,
                             ring_partition)
+from oracles import exact_gradient_oracle
 
 GAUSS3 = HvsConfig(model="gaussian", size=3, sigma=1.0)
 
@@ -71,7 +71,7 @@ def criterion(number):
 def _forced_sample(p, c, m, cfg, level_count=2):
     p = np.asarray(p, dtype=np.float64)
     floor_vals, ceil_vals, p_ceil = rl._cast_two_point(p, level_count)
-    ctx = build_reward(np.asarray(m, dtype=np.float64), c, cfg, region="full")
+    ctx = build_reward(np.asarray(m, dtype=np.float64), c, cfg)
     return rl.EpisodeSample(c=c, z=np.zeros_like(p), p=p,
                             m=np.asarray(m, dtype=np.float64),
                             floor_vals=floor_vals, ceil_vals=ceil_vals,
@@ -137,14 +137,13 @@ def test_criterion_2_toggle_delta_exactness():
         rng = Rng(2000 + instance)
         c = rng.uniforms(256).reshape(16, 16)
         h = (rng.uniforms(256).reshape(16, 16) < 0.5).astype(np.float64)
-        ctx = build_reward(h, c, cfg, region="full")
+        ctx = build_reward(h, c, cfg)
+        fast = delta_map(ctx, 1.0 - h)
         for a in range(256):
-            fast = toggle_delta(ctx, a)
             flipped = h.copy()
             flipped.flat[a] = 1.0 - flipped.flat[a]
-            slow = build_reward(flipped, c, cfg, region="full").reward \
-                - ctx.reward
-            worst = max(worst, abs(fast - slow))
+            slow = build_reward(flipped, c, cfg).reward - ctx.reward
+            worst = max(worst, abs(fast.flat[a] - slow))
     assert worst <= 1e-12, f"worst toggle-delta error {worst:.3e}"
     assert time.time() - started < 60.0
 
@@ -435,7 +434,7 @@ def test_criterion_8_multitone_reduction():
             m = np.where(sel == 1.0, ceil_vals, floor_vals)
             weight = float(np.prod(np.where(sel == 1.0, p_ceil,
                                             1.0 - p_ceil)))
-            ctx = build_reward(m, c, cfg, region="full")
+            ctx = build_reward(m, c, cfg)
             sample = rl.EpisodeSample(c=c, z=np.zeros_like(p), p=p, m=m,
                                       floor_vals=floor_vals,
                                       ceil_vals=ceil_vals, p_ceil=p_ceil,

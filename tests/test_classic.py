@@ -216,6 +216,14 @@ class TestDbs:
             dbs_search(self._contone(), seed_halftone=np.zeros((2, 3)),
                        hvs_cfg=SMALL_HVS)
 
+    def test_non_binary_seed_rejected(self):
+        # the toggle score assumes binary pixels: a seed of 0.3 would be
+        # scored without its d^2 term and come back non-binary
+        with pytest.raises(ValueError):
+            dbs_search(constant_image(0.4, 12, 12),
+                       seed_halftone=np.full((12, 12), 0.3),
+                       hvs_cfg=SMALL_HVS, max_sweeps=3)
+
     def test_output_is_binary(self):
         c = helpers.natural_crop(size=12, seed=9)
         h, _ = dbs_search(c, rng=Rng(4), hvs_cfg=SMALL_HVS)

@@ -16,7 +16,7 @@ import helpers
 from htlab import cli
 from htlab.hvs import HvsConfig, build_kernel, load_kernel_csv
 from htlab.imagecore import Rng, constant_image, load_pgm, save_pbm, save_pgm
-from htlab.nn import PolicyNetwork, save_checkpoint
+from htlab.nn import PolicyNetwork, read_checkpoint, save_checkpoint
 
 
 def write_contone(path, size=12, seed=1):
@@ -130,6 +130,24 @@ class TestExitCodes:
         assert cli.main(["halftone", "--input", contone, "--output",
                          str(tmp_path / "o.pbm"), "--method", "nn",
                          "--checkpoint", str(ck)]) == 3
+
+    def test_diverging_train_keeps_its_log_and_checkpoints(self, tmp_path,
+                                                           capsys):
+        # a step size of 1e300 sends the logits to infinity in the second
+        # iteration's forward pass
+        cfg, values = train_config(tmp_path, lr_start=1e300, lr_end=1e300,
+                                   checkpoint_every=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["train", "--config", cfg]) == 3
+        assert "diverged at iteration 2" in capsys.readouterr().err
+        run = Path(values["out_dir"])
+        assert sorted(p.name for p in run.iterdir()) == [
+            "ckpt_000001.htnn", "log.csv"]
+        assert read_checkpoint(str(run / "ckpt_000001.htnn"))[0][
+            "iteration"] == 1
+        _, header, rows = parse_csv(run / "log.csv")
+        assert header == ["iteration", "reward", "l_as", "bin_gap", "lr"]
+        assert [row[0] for row in rows] == ["1"]
 
 
 class TestHalftoneFlags:

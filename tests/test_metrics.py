@@ -1,27 +1,23 @@
-"""Reward metrics: HVS-weighted error, SSIM/CSSIM, and the pixel-edit
-delta algebra.
+"""Reward metrics: HVS-weighted error, SSIM/CSSIM, the full-region
+training reward and its pixel-edit delta map.
 
-The delta tests are the load-bearing ones: single-pixel deltas and the
-vectorized all-pixel delta map must agree with from-scratch recomputation,
-and a delta queried again after applying the edit must be the exact bitwise
-negation of the one queried before it.
+The delta tests are the load-bearing ones: delta_map, for binary toggles and
+for non-binary targets alike, must agree with rebuilding the reward from
+scratch for every pixel, and a target equal to the halftone must give
+exactly zero.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import helpers
 import oracles
 from htlab.hvs import HvsConfig, build_gaussian_kernel, build_kernel
 from htlab.imagecore import Rng, constant_image
-from htlab.metrics import (MetricConfig, RewardContext, apply_substitution,
-                           apply_toggle, contrast_map, cssim, delta_map,
-                           hvs_mse, psnr, region_mask, reward, ssim,
-                           substitution_delta, toggle_delta)
+from htlab.metrics import (MetricConfig, cssim, delta_map, hvs_mse, psnr,
+                           region_mask, reward, ssim)
 
 # Small configuration so brute-force oracles stay fast. Gaussian HVS kernel
 # (sigma chosen off the window sigma so the two never alias) and a 5-tap
@@ -32,6 +28,26 @@ SMALL = MetricConfig(ssim_window=5,
 # 1x1 HVS kernel: filtering is the identity, so the error term is plain MSE.
 IDENTITY_HVS = MetricConfig(ssim_window=3,
                             hvs=HvsConfig(model="gaussian", size=1, sigma=1.0))
+
+
+def small_cfg(w_s):
+    return MetricConfig(w_s=w_s, ssim_window=SMALL.ssim_window, hvs=SMALL.hvs)
+
+
+def contrast_map(c, cfg):
+    """The contone contrast map sigma_c the reward blends CSSIM with."""
+    return reward(c, c, cfg).sigma_c
+
+
+def recomputed_deltas(h, c, cfg, other):
+    """R(h with pixel a set to other[a]) - R(h), one rebuild per pixel."""
+    base = reward(h, c, cfg).reward
+    out = np.empty_like(h)
+    for a in range(h.size):
+        edited = h.copy()
+        edited.flat[a] = other.flat[a]
+        out.flat[a] = reward(edited, c, cfg).reward - base
+    return out
 
 
 def checkerboard(height, width):
@@ -121,7 +137,7 @@ class TestSsim:
         x = helpers.natural_crop(size=24, seed=3)
         scalar, maps = ssim(x, x, SMALL, region="valid")
         assert scalar == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(maps.ssim - 1.0)) < 1e-10
+        assert np.max(np.abs(maps - 1.0)) < 1e-10
 
     def test_symmetry(self):
         rng = Rng(7)
@@ -137,15 +153,15 @@ class TestSsim:
         y = helpers.random_halftone(rng, 8, 8)
         w = build_gaussian_kernel(SMALL.ssim_window, SMALL.ssim_sigma).weights
         want = oracles.ssim_map_brute(x, y, w, SMALL.c1, SMALL.c2)
-        _, maps = ssim(x, y, SMALL, region="full")
-        assert np.max(np.abs(maps.ssim - want)) < 1e-12
+        _, s_map = ssim(x, y, SMALL, region="full")
+        assert np.max(np.abs(s_map - want)) < 1e-12
 
     def test_scalar_is_region_mean_of_map(self):
         x = helpers.natural_crop(size=16, seed=1)
         y = checkerboard(16, 16)
-        scalar, maps = ssim(x, y, SMALL, region="valid")
+        scalar, s_map = ssim(x, y, SMALL, region="valid")
         mask = region_mask((16, 16), SMALL, "valid")
-        assert scalar == pytest.approx(float(maps.ssim[mask].mean()),
+        assert scalar == pytest.approx(float(s_map[mask].mean()),
                                        abs=1e-15)
 
     def test_empty_region_scalar_is_nan(self):
@@ -194,9 +210,9 @@ class TestCssim:
     def test_blend_formula_against_components(self):
         c = helpers.natural_crop(size=16, seed=9)
         h = helpers.random_halftone(Rng(4), 16, 16)
-        _, maps = ssim(h, c, SMALL, region="full")
+        _, s_map = ssim(h, c, SMALL, region="full")
         sc = contrast_map(c, SMALL)
-        want = sc * maps.ssim + (1.0 - sc)
+        want = sc * s_map + (1.0 - sc)
         _, cs_map = cssim(h, c, SMALL, region="full")
         assert np.array_equal(cs_map, want)
 
@@ -210,11 +226,10 @@ class TestRewardContext:
     def test_scalar_decomposition(self):
         c = helpers.natural_crop(size=14, seed=6)
         h = helpers.random_halftone(Rng(6), 14, 14)
-        for region in ("full", "valid"):
-            ctx = reward(h, c, SMALL, region=region)
-            assert ctx.mse == hvs_mse(h, c, SMALL, region=region)
-            assert ctx.cssim_scalar == cssim(h, c, SMALL, region=region)[0]
-            assert ctx.reward == -ctx.mse + SMALL.w_s * ctx.cssim_scalar
+        ctx = reward(h, c, SMALL)
+        assert ctx.mse == hvs_mse(h, c, SMALL, region="full")
+        assert ctx.cssim_scalar == cssim(h, c, SMALL, region="full")[0]
+        assert ctx.reward == -ctx.mse + SMALL.w_s * ctx.cssim_scalar
 
     def test_reward_matches_brute_oracle(self):
         rng = Rng(41)
@@ -222,21 +237,17 @@ class TestRewardContext:
         h = helpers.random_halftone(rng, 9, 9)
         k = build_kernel(SMALL.hvs).weights
         w = build_gaussian_kernel(SMALL.ssim_window, SMALL.ssim_sigma).weights
-        for region in ("full", "valid"):
-            mask = (np.ones((9, 9), dtype=bool) if region == "full"
-                    else valid_mask_brute((9, 9), 5, SMALL.ssim_window))
-            for w_s in (0.0, 0.06):
-                cfg = MetricConfig(
-                    w_s=w_s, ssim_window=SMALL.ssim_window, hvs=SMALL.hvs)
-                want = oracles.reward_brute(h, c, k, w, w_s, cfg.c1, cfg.c2,
-                                            cfg.contrast_gain, mask)
-                got = reward(h, c, cfg, region=region).reward
-                assert got == pytest.approx(want, abs=1e-13)
+        for w_s in (0.0, 0.06):
+            cfg = small_cfg(w_s)
+            want = oracles.reward_brute(h, c, k, w, w_s, cfg.c1, cfg.c2,
+                                        cfg.contrast_gain,
+                                        np.ones((9, 9), dtype=bool))
+            assert reward(h, c, cfg).reward == pytest.approx(want, abs=1e-13)
 
     def test_full_region_scalar_is_mean_of_reward_map(self):
         c = helpers.natural_crop(size=12, seed=2)
         h = helpers.random_halftone(Rng(8), 12, 12)
-        ctx = reward(h, c, SMALL, region="full")
+        ctx = reward(h, c, SMALL)
         assert ctx.reward == pytest.approx(float(ctx.reward_map.mean()),
                                            abs=1e-13)
 
@@ -244,100 +255,70 @@ class TestRewardContext:
         with pytest.raises(ValueError):
             reward(np.zeros((4, 5)), np.zeros((5, 4)), SMALL)
 
-    def test_empty_valid_region_rejected(self):
+    def test_defined_below_the_valid_region_size(self):
+        # a 3x3 image has no valid-region pixel for the default windows, but
+        # the full-region reward is defined everywhere
         h = checkerboard(3, 3)
         c = constant_image(0.5, 3, 3)
-        with pytest.raises(ValueError):
-            reward(h, c, MetricConfig(), region="valid")
-        # the full region always works
         assert math.isfinite(reward(h, c, MetricConfig()).reward)
 
 
 class TestPixelDeltas:
-    def _instance(self, region, seed=13, size=9):
+    def _instance(self, w_s, seed=13, size=9):
         rng = Rng(seed)
         c = helpers.random_contone(rng, size, size)
         h = helpers.random_halftone(rng, size, size)
-        return h, c, reward(h, c, SMALL, region=region)
+        return h, c, reward(h, c, small_cfg(w_s))
 
-    @pytest.mark.parametrize("region", ["full", "valid"])
-    def test_toggle_delta_matches_recompute_every_pixel(self, region):
-        h, c, ctx = self._instance(region)
-        for a in range(h.size):
-            d = toggle_delta(ctx, a)
-            h2 = h.copy()
-            h2.flat[a] = 1.0 - h2.flat[a]
-            want = reward(h2, c, SMALL, region=region).reward - ctx.reward
-            assert d == pytest.approx(want, abs=1e-12)
+    @pytest.mark.parametrize("w_s", [0.0, 0.06])
+    def test_toggle_delta_matches_recompute_every_pixel(self, w_s):
+        h, c, ctx = self._instance(w_s)
+        want = recomputed_deltas(h, c, ctx.cfg, 1.0 - h)
+        assert np.max(np.abs(delta_map(ctx, 1.0 - h) - want)) <= 1e-12
 
-    def test_substitution_delta_non_binary_matches_recompute(self):
-        h, c, ctx = self._instance("full", seed=17)
+    @pytest.mark.parametrize("w_s", [0.0, 0.06])
+    def test_non_binary_targets_match_recompute(self, w_s):
+        h, c, ctx = self._instance(w_s, seed=17)
+        other = 1.0 - h
         for a, val in ((0, 0.37), (40, 0.91), (80, 0.0)):
-            d = substitution_delta(ctx, a, val)
-            h2 = h.copy()
-            h2.flat[a] = val
-            want = reward(h2, c, SMALL, region="full").reward - ctx.reward
-            assert d == pytest.approx(want, abs=1e-12)
+            other.flat[a] = val
+        want = recomputed_deltas(h, c, ctx.cfg, other)
+        assert np.max(np.abs(delta_map(ctx, other) - want)) <= 1e-12
 
-    def test_involution_is_exact(self):
-        _, _, ctx = self._instance("full", seed=19)
-        for a in (0, 8, 37, 44, 80):
-            d1 = toggle_delta(ctx, a)
-            apply_toggle(ctx, a)
-            d2 = toggle_delta(ctx, a)
-            assert d1 + d2 == 0.0
-            apply_toggle(ctx, a)
-
-    def test_apply_updates_reward_by_delta(self):
-        h, _, ctx = self._instance("valid", seed=23)
-        r0 = ctx.reward
-        d = toggle_delta(ctx, 40)
-        apply_toggle(ctx, 40)
-        assert ctx.reward == pytest.approx(r0 + d, abs=1e-13)
-        assert ctx.h.flat[40] == 1.0 - h.flat[40]
-
-    def test_same_value_substitution_is_zero(self):
-        h, _, ctx = self._instance("full", seed=29)
-        assert substitution_delta(ctx, 5, h.flat[5]) == 0.0
-
-    def test_index_out_of_range(self):
-        _, _, ctx = self._instance("full")
-        with pytest.raises(IndexError):
-            substitution_delta(ctx, -1, 0.5)
-        with pytest.raises(IndexError):
-            substitution_delta(ctx, 81, 0.5)
-
-    def test_toggle_requires_binary_pixel(self):
-        _, c, _ = self._instance("full")
-        ctx = reward(constant_image(0.4, 9, 9), c, SMALL, region="full")
-        with pytest.raises(ValueError):
-            toggle_delta(ctx, 0)
+    @pytest.mark.parametrize("w_s", [0.0, 0.06])
+    def test_target_equal_to_halftone_is_exactly_zero(self, w_s):
+        h, _, ctx = self._instance(w_s, seed=29)
+        assert np.all(delta_map(ctx, h) == 0.0)
 
 
 class TestDeltaMap:
-    @pytest.mark.parametrize("region", ["full", "valid"])
-    def test_matches_per_pixel_substitution(self, region):
+    @pytest.mark.parametrize("w_s", [0.0, 0.06])
+    def test_matches_recompute_on_a_lattice_halftone(self, w_s):
+        # three-level halftone and off-lattice targets, as the multitone
+        # estimator queries them
         rng = Rng(37)
         c = helpers.random_contone(rng, 7, 8)
-        h = helpers.random_halftone(rng, 7, 8)
-        other = helpers.random_contone(rng, 7, 8)   # non-binary targets
-        ctx = reward(h, c, SMALL, region=region)
-        dm = delta_map(ctx, other)
+        h = np.floor(3.0 * helpers.random_contone(rng, 7, 8)) / 2.0
+        other = helpers.random_contone(rng, 7, 8)
+        cfg = small_cfg(w_s)
+        dm = delta_map(reward(h, c, cfg), other)
         assert dm.shape == h.shape
-        for a in range(h.size):
-            want = substitution_delta(ctx, a, other.flat[a])
-            assert dm.flat[a] == pytest.approx(want, abs=1e-12)
+        want = recomputed_deltas(h, c, cfg, other)
+        assert np.max(np.abs(dm - want)) <= 1e-12
 
     def test_w_s_zero_path(self):
-        cfg = MetricConfig(w_s=0.0, ssim_window=SMALL.ssim_window,
-                           hvs=SMALL.hvs)
+        # with w_s = 0 the delta is exactly the change of the full-region
+        # HVS MSE, scored by hvs_mse
+        cfg = small_cfg(0.0)
         rng = Rng(43)
         c = helpers.random_contone(rng, 6, 6)
         h = helpers.random_halftone(rng, 6, 6)
-        ctx = reward(h, c, cfg, region="full")
-        dm = delta_map(ctx, 1.0 - h)
+        dm = delta_map(reward(h, c, cfg), 1.0 - h)
+        base = hvs_mse(h, c, cfg, region="full")
         for a in range(h.size):
-            want = toggle_delta(ctx, a)
+            h2 = h.copy()
+            h2.flat[a] = 1.0 - h2.flat[a]
+            want = base - hvs_mse(h2, c, cfg, region="full")
             assert dm.flat[a] == pytest.approx(want, abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
@@ -351,28 +332,9 @@ class TestEvalCount:
         rng = Rng(47)
         c = helpers.random_contone(rng, 6, 6)
         h = helpers.random_halftone(rng, 6, 6)
-        ctx = reward(h, c, SMALL, region="full")
-        assert ctx.eval_count == 1            # building the context
-        toggle_delta(ctx, 0)
-        assert ctx.eval_count == 2            # one pixel query
-        substitution_delta(ctx, 3, ctx.h.flat[3])
-        assert ctx.eval_count == 3            # short-circuit still counts
+        ctx = reward(h, c, SMALL)
+        assert ctx.eval_count == 1                # building the context
         delta_map(ctx, 1.0 - h)
-        assert ctx.eval_count == 3 + h.size   # one per pixel
-        apply_toggle(ctx, 0)
-        assert ctx.eval_count == 3 + h.size   # committing is free
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), pixel=st.integers(0, 48))
-def test_involution_property(seed, pixel):
-    """Querying a toggle, applying it, and querying again always cancels
-    exactly, whatever the image or pixel."""
-    rng = Rng(seed)
-    c = helpers.random_contone(rng, 7, 7)
-    h = helpers.random_halftone(rng, 7, 7)
-    ctx = reward(h, c, SMALL, region="full")
-    d1 = toggle_delta(ctx, pixel)
-    apply_toggle(ctx, pixel)
-    d2 = toggle_delta(ctx, pixel)
-    assert d1 + d2 == 0.0
+        assert ctx.eval_count == 1 + h.size       # one per pixel
+        delta_map(ctx, h)
+        assert ctx.eval_count == 1 + 2 * h.size   # a no-op target counts too

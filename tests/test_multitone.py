@@ -20,8 +20,8 @@ from htlab.metrics import MetricConfig
 from htlab.metrics import reward as build_reward
 from htlab.multitone import LevelSet, infer_multitone
 from htlab.nn import PolicyNetwork
-from htlab.rl import (exact_gradient_oracle, infer_halftone, le_signal,
-                      sample_actions)
+from htlab.rl import infer_halftone, le_signal, sample_actions
+from oracles import exact_gradient_oracle
 
 SMALL = MetricConfig(ssim_window=3,
                      hvs=HvsConfig(model="gaussian", size=3, sigma=1.0))
@@ -130,7 +130,7 @@ class TestUnbiasedness:
             m = np.where(sel == 1.0, ceil_vals, floor_vals)
             weight = float(np.prod(np.where(sel == 1.0, p_ceil,
                                             1.0 - p_ceil)))
-            ctx = build_reward(m, c, SMALL, region="full")
+            ctx = build_reward(m, c, SMALL)
             sample = rl.EpisodeSample(c=c, z=np.zeros_like(v), p=v, m=m,
                                       floor_vals=floor_vals,
                                       ceil_vals=ceil_vals, p_ceil=p_ceil,
@@ -201,4 +201,4 @@ def test_make_multitone_sample_routes_through_shared_path():
     s = rl.make_sample(v, c, np.zeros((4, 4)), Rng(41), SMALL, level_count=3)
     assert np.array_equal(s.m, sample_actions(v, Rng(41), 3))
     assert s.level_count == 3
-    assert s.ctx.reward == build_reward(s.m, c, SMALL, region="full").reward
+    assert s.ctx.reward == build_reward(s.m, c, SMALL).reward

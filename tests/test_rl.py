@@ -20,10 +20,10 @@ from htlab.imagecore import Rng
 from htlab.metrics import MetricConfig
 from htlab.metrics import reward as build_reward
 from htlab.nn import cosine_lr
-from htlab.rl import (ESTIMATORS, TrainConfig, coma_signal,
-                      exact_gradient_oracle, infer_halftone, le_signal,
-                      make_sample, reinforce_signal, sample_actions,
-                      train_loop)
+from htlab.rl import (ESTIMATORS, TrainConfig, coma_signal, infer_halftone,
+                      le_signal, make_sample, reinforce_signal,
+                      sample_actions, train_loop)
+from oracles import exact_gradient_oracle
 
 SMALL = MetricConfig(ssim_window=3,
                      hvs=HvsConfig(model="gaussian", size=3, sigma=1.0))
@@ -35,7 +35,7 @@ def forced_sample(p, c, m, cfg, level_count=2):
     """EpisodeSample with the action map fixed instead of drawn."""
     p = np.asarray(p, dtype=np.float64)
     floor_vals, ceil_vals, p_ceil = rl._cast_two_point(p, level_count)
-    ctx = build_reward(np.asarray(m, dtype=np.float64), c, cfg, region="full")
+    ctx = build_reward(np.asarray(m, dtype=np.float64), c, cfg)
     return rl.EpisodeSample(c=c, z=np.zeros_like(p), p=p,
                             m=np.asarray(m, dtype=np.float64),
                             floor_vals=floor_vals, ceil_vals=ceil_vals,
@@ -126,8 +126,7 @@ class TestUnbiasedness:
 
         rewards = {}
         for m in oracles.enumerate_bit_maps((1, 3)):
-            rewards[m.tobytes()] = build_reward(m, c, SMALL,
-                                                region="full").reward
+            rewards[m.tobytes()] = build_reward(m, c, SMALL).reward
 
         def expected_reward(q):
             total = 0.0

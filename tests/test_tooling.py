@@ -1,5 +1,6 @@
-"""Repository hygiene: the library imports only what it declares, and the
-CLI's outputs do not depend on how many threads BLAS runs.
+"""Repository hygiene: the library imports only what it declares, the
+metrics module holds no code that only tests reach, and the CLI's outputs
+do not depend on how many threads BLAS runs.
 
 numpy is htlab's one runtime dependency. scipy and pytest-benchmark may be
 installed next to it, but nothing declares them, so src/ must not use them.
@@ -15,6 +16,7 @@ import helpers
 from htlab.imagecore import save_pgm
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "htlab"
+TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
 
@@ -37,6 +39,37 @@ def test_src_imports_only_stdlib_numpy_and_itself():
             if module.partition(".")[0] not in ALLOWED:
                 bad.append(f"{path.name}:{lineno}: {module}")
     assert not bad, "undeclared imports: " + ", ".join(bad)
+
+
+def _identifiers(node):
+    """Every bare name, attribute name and from-imported name under node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_every_metrics_definition_is_reached_from_src_or_the_tracer():
+    # a top-level definition is live when another src module or the
+    # benchmark tracer names it, or when a live definition in metrics does;
+    # whatever else metrics defines only tests can reach
+    tree = ast.parse((SRC / "metrics.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    users = [path for path in SRC.glob("*.py") if path.name != "metrics.py"]
+    live = {name for path in users + [TRACER] for name in _identifiers(
+        ast.parse(path.read_text(encoding="utf-8")))}
+    todo = [name for name in defs if name in live]
+    while todo:
+        for name in _identifiers(defs[todo.pop()]):
+            if name in defs and name not in live:
+                live.add(name)
+                todo.append(name)
+    dead = sorted(set(defs) - live)
+    assert not dead, "metrics definitions only tests reach: " + ", ".join(dead)
 
 
 def _run_cli(args, blas_threads, cwd):

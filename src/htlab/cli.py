@@ -164,8 +164,12 @@ def _synthesize(c, rng, args, policy):
     if method == "nn":
         # forward keeps its activations on the network, so every task runs
         # its own copy
-        m, _ = rl.infer_halftone(copy.deepcopy(policy), c, rng,
-                                 level_count=args.levels)
+        try:
+            m, _ = rl.infer_halftone(copy.deepcopy(policy), c, rng,
+                                     level_count=args.levels)
+        except FloatingPointError as exc:
+            raise DataError(f"checkpoint {args.checkpoint!r} gives a "
+                            f"non-finite policy output ({exc})") from exc
         return m
     raise UsageError(f"unknown method {method!r}")
 
@@ -241,11 +245,11 @@ def parse_config(text):
                              f"{key!r}")
         kind = schema[key]
         try:
-            if kind is bool or kind == "bool":
+            if kind is bool:
                 out[key] = _BOOL_WORDS[value.lower()]
-            elif kind is int or kind == "int":
+            elif kind is int:
                 out[key] = int(value)
-            elif kind is float or kind == "float":
+            elif kind is float:
                 out[key] = float(value)
                 if not math.isfinite(out[key]):
                     raise ValueError(value)

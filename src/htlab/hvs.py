@@ -109,7 +109,9 @@ def _weights(kernel):
 
 
 def convolve_same(img, kernel):
-    """Same-size direct convolution with zero padding."""
+    """Same-size direct convolution with zero padding over the last two
+    axes. Leading axes are a batch of images, each contracted on its own:
+    BLAS may sum a window in another order inside one larger product."""
     img = np.asarray(img, dtype=np.float64)
     w = _weights(kernel)
     k = w.shape[0]
@@ -119,9 +121,13 @@ def convolve_same(img, kernel):
     # convolution flips the kernel; every built-in kernel is centro-symmetric
     # but keep true convolution semantics for arbitrary weights
     wf = w[::-1, ::-1]
-    padded = np.pad(img, half, mode="constant")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k))
-    return np.tensordot(windows, wf, axes=([2, 3], [0, 1]))
+    flat = img.reshape(-1, *img.shape[-2:])
+    out = np.empty_like(flat)
+    for out_i, img_i in zip(out, flat):
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.pad(img_i, half), (k, k))
+        out_i[...] = np.tensordot(windows, wf, axes=([2, 3], [0, 1]))
+    return out.reshape(img.shape)
 
 
 def dump_kernel_csv(kernel, path):

@@ -10,10 +10,11 @@ filter and SSIM windows fit inside the image (used for reported numbers),
 'full' over every pixel of the zero-padded maps. The training reward is
 always full-region.
 
-RewardContext holds the maps of one (halftone, contone) pair, and delta_map
-answers "what does R become if pixel a takes value v[a]" for every pixel at
-once: the error term from sse_delta_terms, the same two maps DBS scores its
-moves with, and the CSSIM term by one pass per SSIM window offset.
+RewardContext holds the maps of a (halftone, contone) pair or of a (B, H, W)
+stack of them, one training step's worth, and delta_map answers "what does R
+become if pixel a takes value v[a]" for every pixel at once: the error term
+from sse_delta_terms, the same two maps DBS scores its moves with, and the
+CSSIM term by one pass per SSIM window offset.
 """
 
 import functools
@@ -143,17 +144,19 @@ def sse_delta_terms(e, kernel):
     """The maps (ce, k2) that price a pixel edit in the filtered squared
     error: h[a] += d changes sum(e^2) by 2 d ce[a] + d^2 k2[a], where e is
     the filtered error, ce = corr(e, K) and k2[a] = sum_j K[j - a]^2 over
-    in-image j."""
+    in-image j. A stack of error maps shares one k2."""
     kf = _corr_stencil(kernel.weights)
-    return convolve_same(e, kf), convolve_same(np.ones_like(e), kf * kf)
+    return convolve_same(e, kf), convolve_same(np.ones(e.shape[-2:]), kf * kf)
 
 
 class RewardContext:
     """The full-region reward R of halftone h against contone c, with the
-    maps delta_map reads.
+    maps delta_map reads. h and c are one (H, W) image or a stack of them
+    (leading axes are a batch); mse, cssim_scalar and reward are then one
+    value per image.
 
-    eval_count tracks reward-evaluation work units: building the context is
-    1 and delta_map counts one per pixel.
+    eval_count tracks reward-evaluation work units: building the context
+    counts one per image and delta_map one per pixel.
     """
 
     def __init__(self, h, c, cfg):
@@ -173,10 +176,10 @@ class RewardContext:
         self.cssim_map = self.sigma_c * self.ssim_map + (1.0 - self.sigma_c)
         sq_err = self.e * self.e
         self.reward_map = -sq_err + cfg.w_s * self.cssim_map
-        self.mse = float(sq_err.mean())
-        self.cssim_scalar = float(self.cssim_map.mean())
+        self.mse = sq_err.mean(axis=(-2, -1))
+        self.cssim_scalar = self.cssim_map.mean(axis=(-2, -1))
         self.reward = -self.mse + cfg.w_s * self.cssim_scalar
-        self.eval_count = 1
+        self.eval_count = math.prod(self.h.shape[:-2])
 
 
 def reward(h, c, cfg=None):
@@ -185,7 +188,8 @@ def reward(h, c, cfg=None):
 
 
 def delta_map(ctx, other_values):
-    """R(h with pixel a set to other_values[a]) - R(h) for every a at once.
+    """R(h with pixel a set to other_values[a]) - R(h) for every a at once,
+    each edit scored within its own image of the stack.
 
     Work is one correlation for the error term plus one pass per SSIM window
     offset, i.e. O(N * window) in all.
@@ -194,19 +198,20 @@ def delta_map(ctx, other_values):
     if other.shape != ctx.h.shape:
         raise ValueError("other_values shape mismatch")
     ctx.eval_count += other.size
+    n = other.shape[-2] * other.shape[-1]
     delta = other - ctx.h
     ce, k2 = sse_delta_terms(ctx.e, ctx.kernel)
     dsse = 2.0 * delta * ce + delta * delta * k2
     if ctx.cfg.w_s != 0.0:
         dcs = _delta_cssim_map(ctx, delta)
-        return (-dsse + ctx.cfg.w_s * dcs) / other.size
-    return -dsse / other.size
+        return (-dsse + ctx.cfg.w_s * dcs) / n
+    return -dsse / n
 
 
 def _delta_cssim_map(ctx, delta):
     """Sum over window positions b of sigma_c(b) * (SSIM_b(after) -
     SSIM_b(before)) for an edit at each pixel, accumulated offset by offset."""
-    hgt, wid = ctx.h.shape
+    hgt, wid = ctx.h.shape[-2:]
     wh = ctx.cfg.ssim_window // 2
     out = np.zeros_like(delta)
     c1, c2 = ctx.cfg.c1, ctx.cfg.c2
@@ -219,8 +224,8 @@ def _delta_cssim_map(ctx, delta):
             if x0 >= x1:
                 continue
             wd = ctx.w[wh + dy, wh + dx]
-            sb = (slice(y0, y1), slice(x0, x1))
-            sa = (slice(y0 + dy, y1 + dy), slice(x0 + dx, x1 + dx))
+            sb = (..., slice(y0, y1), slice(x0, x1))
+            sa = (..., slice(y0 + dy, y1 + dy), slice(x0 + dx, x1 + dx))
             dv = delta[sa]
             hv = ctx.h[sa]
             cv = ctx.c[sa]

@@ -136,13 +136,16 @@ class PolicyNetwork:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4:
             raise ValueError("input must be (batch, channels, height, width)")
-        y = self.conv_in.forward(x)
-        for blk in self.res:
-            y = blk.forward(y)
-        logits = self.conv_out.forward(y)
-        if not np.all(np.isfinite(logits)):
-            raise FloatingPointError("non-finite logits")
-        self._p = 1.0 / (1.0 + np.exp(-logits))
+        # the finite check is the one report of a diverged net; exp(-logits)
+        # overflowing to inf gives the exact limit p = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = self.conv_in.forward(x)
+            for blk in self.res:
+                y = blk.forward(y)
+            logits = self.conv_out.forward(y)
+            if not np.all(np.isfinite(logits)):
+                raise FloatingPointError("non-finite logits")
+            self._p = 1.0 / (1.0 + np.exp(-logits))
         return self._p
 
     def backward(self, dp):
@@ -257,6 +260,8 @@ def read_checkpoint(path):
             f"blob length {body_bytes // 8} does not match arch "
             f"(C={ch}, B={blocks}): expected {n_params} or {3 * n_params}")
     body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
+    if not np.all(np.isfinite(body)):
+        raise CheckpointError("checkpoint holds non-finite values")
     probe = PolicyNetwork(channels=ch, blocks=blocks, in_channels=in_ch)
     shapes = [p.value.shape for p in probe.params()]
     sizes = [int(np.prod(s)) for s in shapes]

@@ -15,19 +15,20 @@ Three gradient estimators produce dL/dp to inject at the sigmoid output:
              analytically, so the per-pixel factor is exactly the two-point
              reward difference
 
-All three need at most N+1 reward evaluations per sample: one full build
-plus one delta_map over the N pixels.
+A training step scores its B crops as one (B, H, W) stack: one
+RewardContext and one estimator call. All three need at most N+1 reward
+evaluations per image: one full build plus one delta_map over its N pixels.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics
 from .hvs import HvsConfig
 from .imagecore import Rng, gaussian_noise_map, random_crop
-from .metrics import MetricConfig, RewardContext
+from .metrics import MetricConfig
 from .nn import Adam, PolicyNetwork, cosine_lr, load_checkpoint
 from .spectral import anisotropy_loss, anisotropy_loss_backward, ring_partition
 
@@ -57,82 +58,60 @@ def _cast_two_point(values, level_count):
     return floor_vals, ceil_vals, frac
 
 
-def _sample_two_point(floor_vals, ceil_vals, p_ceil, rng):
+def sample_actions(p, rng, level_count=2):
+    """One lattice level per pixel from the cast policy; one uniform per
+    pixel, row-major (image after image for a stack). For L=2 these are
+    independent Bernoulli(p) draws."""
+    floor_vals, ceil_vals, p_ceil = _cast_two_point(p, level_count)
     u = rng.uniforms(p_ceil.size).reshape(p_ceil.shape)
     return np.where(u < p_ceil, ceil_vals, floor_vals)
 
 
-def sample_actions(p, rng, level_count=2):
-    """One lattice level per pixel from the cast policy; one uniform per
-    pixel, row-major. For L=2 these are independent Bernoulli(p) draws."""
-    return _sample_two_point(*_cast_two_point(p, level_count), rng)
+def make_sample(p, c, rng, cfg=None, level_count=2):
+    """Sample the action maps of a policy output p, one (H, W) map or a
+    (B, H, W) stack, and return the one RewardContext that scores them
+    against c; its h is the action map."""
+    return metrics.reward(sample_actions(p, rng, level_count), c, cfg)
 
 
-@dataclass
-class EpisodeSample:
-    c: np.ndarray
-    z: np.ndarray
-    p: np.ndarray              # network output: Bernoulli parameter / value
-    m: np.ndarray              # sampled action map (lattice values)
-    floor_vals: np.ndarray
-    ceil_vals: np.ndarray
-    p_ceil: np.ndarray
-    level_count: int
-    ctx: RewardContext = field(repr=False)
-
-
-def make_sample(p, c, z, rng, cfg=None, level_count=2):
-    """Sample an action map from the factorized policy and build its
-    full-region reward context."""
-    floor_vals, ceil_vals, p_ceil = _cast_two_point(p, level_count)
-    m = _sample_two_point(floor_vals, ceil_vals, p_ceil, rng)
-    ctx = metrics.reward(m, c, cfg or MetricConfig())
-    return EpisodeSample(c=c, z=z, p=np.asarray(p, dtype=np.float64), m=m,
-                         floor_vals=floor_vals, ceil_vals=ceil_vals,
-                         p_ceil=p_ceil, level_count=level_count, ctx=ctx)
-
-
-def _two_point_diff(sample):
-    """R(pixel at upper level) - R(pixel at lower level), all pixels at once.
-    Zero wherever the support collapsed to a single level."""
-    other = np.where(sample.m == sample.ceil_vals,
-                     sample.floor_vals, sample.ceil_vals)
-    d_other = metrics.delta_map(sample.ctx, other)
-    sign = np.where(sample.m == sample.ceil_vals, -1.0, 1.0)
-    return sign * d_other
-
-
-def le_signal(sample):
-    """Local-expectation gradient: dL/dp_a = -(R(up) - R(down)) / delta."""
-    delta = 1.0 / (sample.level_count - 1)
-    return -_two_point_diff(sample) / delta
+def le_signal(ctx, p, level_count):
+    """Local-expectation gradient: dL/dp_a = -(R(up) - R(down)) / delta,
+    where up and down are the two cast levels around p_a; zero wherever
+    the support collapsed to a single level."""
+    floor_vals, ceil_vals, _ = _cast_two_point(p, level_count)
+    up = ctx.h == ceil_vals
+    d_other = metrics.delta_map(ctx, np.where(up, floor_vals, ceil_vals))
+    sign = np.where(up, -1.0, 1.0)
+    return -(sign * d_other) / (1.0 / (level_count - 1))
 
 
 def _dlogpi(p, h):
+    """Score of a binary policy; coma and reinforce need one."""
+    if np.any((h != 0.0) & (h != 1.0)):
+        raise ValueError("coma and reinforce require a binary policy")
     p = np.clip(p, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
     return np.where(h == 1.0, 1.0 / p, -1.0 / (1.0 - p))
 
 
-def coma_signal(sample):
+def coma_signal(ctx, p):
     """Counterfactual-baseline gradient (binary policies only)."""
-    if sample.level_count != 2:
-        raise ValueError("coma_signal requires a binary policy")
-    h = sample.m
-    d_other = metrics.delta_map(sample.ctx, 1.0 - h)
-    r_cur = sample.ctx.reward
+    h = ctx.h
+    score = _dlogpi(p, h)
+    d_other = metrics.delta_map(ctx, 1.0 - h)
+    r_cur = np.asarray(ctx.reward)[..., None, None]
     r_flip = r_cur + d_other
     r_up = np.where(h == 1.0, r_cur, r_flip)
     r_down = np.where(h == 0.0, r_cur, r_flip)
-    p = np.clip(sample.p, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    baseline = p * r_up + (1.0 - p) * r_down
-    return -_dlogpi(sample.p, h) * (r_cur - baseline)
+    pc = np.clip(p, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+    baseline = pc * r_up + (1.0 - pc) * r_down
+    return -score * (r_cur - baseline)
 
 
-def reinforce_signal(sample, baseline=0.0):
-    """Score-function gradient with an optional scalar baseline."""
-    if sample.level_count != 2:
-        raise ValueError("reinforce_signal requires a binary policy")
-    return -_dlogpi(sample.p, sample.m) * (sample.ctx.reward - baseline)
+def reinforce_signal(ctx, p, baseline):
+    """Score-function gradient with a scalar baseline (binary policies
+    only)."""
+    advantage = np.asarray(ctx.reward - baseline)[..., None, None]
+    return -_dlogpi(p, ctx.h) * advantage
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +133,6 @@ class TrainConfig:
     estimator: str = "local_expectation"
     seed: int = 0
     levels: int = 2
-    anisotropy_batch_size: int = 0      # 0 means: reuse batch_size
     multitone_anisotropy: bool = False
     log_every: int = 100
     checkpoint_every: int = 0           # 0 means: final checkpoint only
@@ -187,58 +165,57 @@ class TrainConfig:
                              "checkpoint_every non-negative")
 
 
-def _signals_for_batch(samples, estimator):
-    if estimator == "local_expectation":
-        return [le_signal(s) for s in samples]
-    if estimator == "coma":
-        return [coma_signal(s) for s in samples]
-    if estimator == "reinforce":
-        return [reinforce_signal(s) for s in samples]
-    if estimator == "reinforce_meanbaseline":
-        mean_r = float(np.mean([s.ctx.reward for s in samples]))
-        return [reinforce_signal(s, baseline=mean_r) for s in samples]
-    raise ValueError(f"unknown estimator {estimator!r}")
+def _signal(ctx, p, cfg):
+    """dL/dp for the whole (B, H, W) stack from the configured estimator."""
+    if cfg.estimator == "local_expectation":
+        return le_signal(ctx, p, cfg.levels)
+    if cfg.estimator == "coma":
+        return coma_signal(ctx, p)
+    if cfg.estimator == "reinforce":
+        return reinforce_signal(ctx, p, 0.0)
+    if cfg.estimator == "reinforce_meanbaseline":
+        return reinforce_signal(ctx, p, float(np.mean(ctx.reward)))
+    raise ValueError(f"unknown estimator {cfg.estimator!r}")
 
 
 def train_step(net, adam, dataset, cfg, rng, t):
     """One optimization step; returns the diagnostics row.
 
-    Draw order per iteration is fixed (image pick, crop offsets, noise map
-    per sample; then action uniforms; then the anisotropy batch), so a seed
-    pins the whole run.
+    The B crops are scored as one (B, H, W) stack: one reward context and
+    one estimator call per step. Draw order per iteration is fixed (image
+    pick, crop offsets, noise map per sample; then the action uniforms of
+    the whole stack; then the anisotropy batch), so a seed pins the whole
+    run.
     """
-    size = cfg.crop_size
+    size, b = cfg.crop_size, cfg.batch_size
     mcfg = cfg.metric_config()
-    crops, noises = [], []
-    for _ in range(cfg.batch_size):
+    x = np.empty((b, 2, size, size))
+    for i in range(b):
         img = dataset[rng.randint(len(dataset))]
-        crops.append(random_crop(rng, img, size))
-        noises.append(gaussian_noise_map(rng, size, size))
-    x = np.stack([np.stack((c, z)) for c, z in zip(crops, noises)])
+        x[i, 0] = random_crop(rng, img, size)
+        x[i, 1] = gaussian_noise_map(rng, size, size)
     p = net.forward(x)[:, 0]
 
-    samples = [make_sample(p[i], crops[i], noises[i], rng, mcfg, cfg.levels)
-               for i in range(cfg.batch_size)]
-    signals = _signals_for_batch(samples, cfg.estimator)
+    ctx = make_sample(p, x[:, 0], rng, mcfg, cfg.levels)
+    signal = _signal(ctx, p, cfg)
     net.zero_grad()
-    net.backward(np.stack(signals)[:, None] / cfg.batch_size)
-    mean_reward = float(np.mean([s.ctx.reward for s in samples]))
+    net.backward(signal[:, None] / b)
+    mean_reward = float(np.mean(ctx.reward))
     bin_gap = float(np.mean(np.abs(p - np.rint(p))))
 
     l_as = math.nan
     run_aniso = cfg.w_a != 0.0 and (cfg.levels == 2 or cfg.multitone_anisotropy)
     if run_aniso:
-        ba = cfg.anisotropy_batch_size or cfg.batch_size
-        grays = [rng.uniform() for _ in range(ba)]
-        znoise = [gaussian_noise_map(rng, size, size) for _ in range(ba)]
+        grays = [rng.uniform() for _ in range(b)]
+        znoise = [gaussian_noise_map(rng, size, size) for _ in range(b)]
         xg = np.stack([np.stack((np.full((size, size), g), z))
                        for g, z in zip(grays, znoise)])
         pg = net.forward(xg)[:, 0]
         part = ring_partition((size, size))
-        losses = [anisotropy_loss(pg[i], part) for i in range(ba)]
+        losses = [anisotropy_loss(pg[i], part) for i in range(b)]
         dpg = np.stack([anisotropy_loss_backward(pg[i], part)
-                        for i in range(ba)])
-        net.backward(dpg[:, None] * (cfg.w_a / ba))
+                        for i in range(b)])
+        net.backward(dpg[:, None] * (cfg.w_a / b))
         l_as = float(np.mean(losses))
 
     lr = cosine_lr(t, cfg.iterations, cfg.lr_start, cfg.lr_end)

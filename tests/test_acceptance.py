@@ -68,28 +68,18 @@ def criterion(number):
 # ---------------------------------------------------------------------------
 # criterion 1: estimator unbiasedness
 
-def _forced_sample(p, c, m, cfg, level_count=2):
-    p = np.asarray(p, dtype=np.float64)
-    floor_vals, ceil_vals, p_ceil = rl._cast_two_point(p, level_count)
-    ctx = build_reward(np.asarray(m, dtype=np.float64), c, cfg)
-    return rl.EpisodeSample(c=c, z=np.zeros_like(p), p=p,
-                            m=np.asarray(m, dtype=np.float64),
-                            floor_vals=floor_vals, ceil_vals=ceil_vals,
-                            p_ceil=p_ceil, level_count=level_count, ctx=ctx)
-
-
 def _expected_signal(estimator, p, c, cfg):
     """Policy-weighted average of the injected signal over every joint
     action map: the quantity whose negation must equal dE[R]/dp."""
     total = np.zeros_like(p)
     for m in oracles.enumerate_bit_maps(p.shape):
-        s = _forced_sample(p, c, m, cfg)
+        ctx = build_reward(m, c, cfg)
         if estimator == "local_expectation":
-            sig = le_signal(s)
+            sig = le_signal(ctx, p, 2)
         elif estimator == "coma":
-            sig = coma_signal(s)
+            sig = coma_signal(ctx, p)
         else:
-            sig = reinforce_signal(s)
+            sig = reinforce_signal(ctx, p, 0.0)
         weight = float(np.prod(np.where(m == 1.0, p, 1.0 - p)))
         total += weight * sig
     return total
@@ -434,12 +424,8 @@ def test_criterion_8_multitone_reduction():
             m = np.where(sel == 1.0, ceil_vals, floor_vals)
             weight = float(np.prod(np.where(sel == 1.0, p_ceil,
                                             1.0 - p_ceil)))
-            ctx = build_reward(m, c, cfg)
-            sample = rl.EpisodeSample(c=c, z=np.zeros_like(p), p=p, m=m,
-                                      floor_vals=floor_vals,
-                                      ceil_vals=ceil_vals, p_ceil=p_ceil,
-                                      level_count=3, ctx=ctx)
-            total += weight * le_signal(sample)
+            total += weight * le_signal(build_reward(m, c, cfg), p,
+                                        three.count)
         want = -exact_gradient_oracle(p, c, cfg, level_count=3)
         worst = max(worst, float(np.max(np.abs(total - want))))
     assert worst <= 1e-9, f"worst three-level estimator bias {worst:.3e}"

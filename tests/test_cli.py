@@ -131,14 +131,39 @@ class TestExitCodes:
                          str(tmp_path / "o.pbm"), "--method", "nn",
                          "--checkpoint", str(ck)]) == 3
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weight", [math.nan, 1e300])
+    @pytest.mark.parametrize("command", ["halftone", "spectra", "eval"])
+    def test_degenerate_checkpoint_is_data_error(self, contone, tmp_path,
+                                                 capsys, weight, command):
+        # NaN weights are refused when the file is read; 1e300 weights are
+        # finite but overflow the forward pass, and the error names the file
+        net = PolicyNetwork(channels=2, blocks=0, in_channels=2)
+        for param in net.params():
+            param.value[...] = weight
+        ck = str(tmp_path / "degenerate.htnn")
+        save_checkpoint(ck, net)
+        argv = {"halftone": ["--input", contone,
+                             "--output", str(tmp_path / "o.pbm")],
+                "spectra": ["--gray", "0.3",
+                            "--output", str(tmp_path / "s.csv")],
+                "eval": ["--contone-dir", str(tmp_path),
+                         "--output", str(tmp_path / "e.csv")]}[command]
+        assert cli.main([command, *argv, "--method", "nn",
+                         "--checkpoint", ck]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "Warning" not in err
+        assert ("non-finite values" if math.isnan(weight) else ck) in err
+
+    @pytest.mark.filterwarnings("error")
     def test_diverging_train_keeps_its_log_and_checkpoints(self, tmp_path,
                                                            capsys):
         # a step size of 1e300 sends the logits to infinity in the second
-        # iteration's forward pass
+        # iteration's forward pass; numpy warns about none of it
         cfg, values = train_config(tmp_path, lr_start=1e300, lr_end=1e300,
                                    checkpoint_every=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli.main(["train", "--config", cfg]) == 3
+        assert cli.main(["train", "--config", cfg]) == 3
         assert "diverged at iteration 2" in capsys.readouterr().err
         run = Path(values["out_dir"])
         assert sorted(p.name for p in run.iterdir()) == [

@@ -130,12 +130,8 @@ class TestUnbiasedness:
             m = np.where(sel == 1.0, ceil_vals, floor_vals)
             weight = float(np.prod(np.where(sel == 1.0, p_ceil,
                                             1.0 - p_ceil)))
-            ctx = build_reward(m, c, SMALL)
-            sample = rl.EpisodeSample(c=c, z=np.zeros_like(v), p=v, m=m,
-                                      floor_vals=floor_vals,
-                                      ceil_vals=ceil_vals, p_ceil=p_ceil,
-                                      level_count=3, ctx=ctx)
-            total += weight * le_signal(sample)
+            total += weight * le_signal(build_reward(m, c, SMALL), v,
+                                        levels.count)
         want = -exact_gradient_oracle(v, c, SMALL, level_count=3)
         assert np.max(np.abs(total - want)) < 1e-9
 
@@ -198,7 +194,6 @@ def test_make_multitone_sample_routes_through_shared_path():
     rng = Rng(37)
     c = helpers.random_contone(rng, 4, 4)
     v = helpers.random_contone(rng, 4, 4)
-    s = rl.make_sample(v, c, np.zeros((4, 4)), Rng(41), SMALL, level_count=3)
-    assert np.array_equal(s.m, sample_actions(v, Rng(41), 3))
-    assert s.level_count == 3
-    assert s.ctx.reward == build_reward(s.m, c, SMALL).reward
+    ctx = rl.make_sample(v, c, Rng(41), SMALL, level_count=3)
+    assert np.array_equal(ctx.h, sample_actions(v, Rng(41), 3))
+    assert ctx.reward == build_reward(ctx.h, c, SMALL).reward

@@ -15,9 +15,9 @@ import pytest
 import helpers
 import oracles
 from htlab import rl
-from htlab.hvs import HvsConfig
+from htlab.hvs import HvsConfig, build_kernel, convolve_same
 from htlab.imagecore import Rng
-from htlab.metrics import MetricConfig
+from htlab.metrics import MetricConfig, delta_map
 from htlab.metrics import reward as build_reward
 from htlab.nn import cosine_lr
 from htlab.rl import (ESTIMATORS, TrainConfig, coma_signal, infer_halftone,
@@ -31,31 +31,23 @@ IDENTITY = MetricConfig(w_s=0.0, ssim_window=3,
                         hvs=HvsConfig(model="gaussian", size=1, sigma=1.0))
 
 
-def forced_sample(p, c, m, cfg, level_count=2):
-    """EpisodeSample with the action map fixed instead of drawn."""
-    p = np.asarray(p, dtype=np.float64)
-    floor_vals, ceil_vals, p_ceil = rl._cast_two_point(p, level_count)
-    ctx = build_reward(np.asarray(m, dtype=np.float64), c, cfg)
-    return rl.EpisodeSample(c=c, z=np.zeros_like(p), p=p,
-                            m=np.asarray(m, dtype=np.float64),
-                            floor_vals=floor_vals, ceil_vals=ceil_vals,
-                            p_ceil=p_ceil, level_count=level_count, ctx=ctx)
-
-
 def policy_weight(p, m):
     return float(np.prod(np.where(m == 1.0, p, 1.0 - p)))
+
+
+def signal(estimator, ctx, p):
+    """The estimator's dL/dp for the action map ctx.h under policy p."""
+    if estimator == "local_expectation":
+        return le_signal(ctx, p, 2)
+    if estimator == "coma":
+        return coma_signal(ctx, p)
+    return reinforce_signal(ctx, p, 0.0)
 
 
 def expected_signal(estimator, p, c, cfg):
     total = np.zeros_like(p)
     for m in oracles.enumerate_bit_maps(p.shape):
-        s = forced_sample(p, c, m, cfg)
-        if estimator == "local_expectation":
-            sig = le_signal(s)
-        elif estimator == "coma":
-            sig = coma_signal(s)
-        else:
-            sig = reinforce_signal(s)
+        sig = signal(estimator, build_reward(m, c, cfg), p)
         total += policy_weight(p, m) * sig
     return total
 
@@ -96,7 +88,7 @@ class TestClosedForm1x1:
     def test_le_signal_is_constant(self):
         p, c = self._arrays()
         for m in (np.array([[0.0]]), np.array([[1.0]])):
-            sig = le_signal(forced_sample(p, c, m, IDENTITY))
+            sig = le_signal(build_reward(m, c, IDENTITY), p, 2)
             assert sig[0, 0] == pytest.approx(1.0 - 2 * self.C, abs=1e-13)
 
     def test_all_estimators_unbiased(self):
@@ -145,49 +137,103 @@ class TestUnbiasedness:
 
 
 class TestSamplesAndCounts:
-    def _sample(self, estimator_ready=True):
+    def _sample(self):
         rng = Rng(41)
         c = helpers.random_contone(rng, 4, 4)
         p = 0.1 + 0.8 * helpers.random_contone(rng, 4, 4)
-        z = np.zeros((4, 4))
-        return make_sample(p, c, z, Rng(3), SMALL)
+        return make_sample(p, c, Rng(3), SMALL), p
 
     def test_make_sample_determinism_and_support(self):
         rng = Rng(43)
         c = helpers.random_contone(rng, 4, 4)
         p = 0.1 + 0.8 * helpers.random_contone(rng, 4, 4)
-        s1 = make_sample(p, c, np.zeros((4, 4)), Rng(3), SMALL)
-        s2 = make_sample(p, c, np.zeros((4, 4)), Rng(3), SMALL)
-        assert np.array_equal(s1.m, s2.m)
-        assert set(np.unique(s1.m)).issubset({0.0, 1.0})
-        assert np.array_equal(s1.floor_vals, np.zeros((4, 4)))
-        assert np.array_equal(s1.ceil_vals, np.ones((4, 4)))
-        assert np.array_equal(s1.p_ceil, p)
+        ctx1 = make_sample(p, c, Rng(3), SMALL)
+        ctx2 = make_sample(p, c, Rng(3), SMALL)
+        assert np.array_equal(ctx1.h, ctx2.h)
+        assert np.array_equal(ctx1.h, sample_actions(p, Rng(3)))
+        assert set(np.unique(ctx1.h)).issubset({0.0, 1.0})
+        assert ctx1.reward == build_reward(ctx1.h, c, SMALL).reward
+        floor_vals, ceil_vals, p_ceil = rl._cast_two_point(p, 2)
+        assert np.array_equal(floor_vals, np.zeros((4, 4)))
+        assert np.array_equal(ceil_vals, np.ones((4, 4)))
+        assert np.array_equal(p_ceil, p)
 
     def test_eval_counts_per_estimator(self):
         n = 16
-        s = self._sample()
-        assert s.ctx.eval_count == 1          # context build
-        le_signal(s)
-        assert s.ctx.eval_count == 1 + n      # one delta per pixel
+        ctx, p = self._sample()
+        assert ctx.eval_count == 1            # context build
+        le_signal(ctx, p, 2)
+        assert ctx.eval_count == 1 + n        # one delta per pixel
 
-        s = self._sample()
-        coma_signal(s)
-        assert s.ctx.eval_count == 1 + n
+        ctx, p = self._sample()
+        coma_signal(ctx, p)
+        assert ctx.eval_count == 1 + n
 
-        s = self._sample()
-        reinforce_signal(s)
-        assert s.ctx.eval_count == 1          # scalar reward only
+        ctx, p = self._sample()
+        reinforce_signal(ctx, p, 0.0)
+        assert ctx.eval_count == 1            # scalar reward only
 
     def test_coma_and_reinforce_reject_multitone(self):
         rng = Rng(47)
         c = helpers.random_contone(rng, 3, 3)
         v = helpers.random_contone(rng, 3, 3)
-        s = make_sample(v, c, np.zeros((3, 3)), Rng(1), SMALL, level_count=4)
+        ctx = make_sample(v, c, Rng(1), SMALL, level_count=4)
         with pytest.raises(ValueError):
-            coma_signal(s)
+            coma_signal(ctx, v)
         with pytest.raises(ValueError):
-            reinforce_signal(s)
+            reinforce_signal(ctx, v, 0.0)
+
+    def test_unknown_estimator_rejected_by_the_signal_dispatch(self):
+        ctx, p = self._sample()
+        with pytest.raises(ValueError, match="unknown estimator"):
+            rl._signal(ctx, p, TrainConfig(estimator="qlearning"))
+
+
+class TestBatchStack:
+    """A (B, H, W) stack is scored image by image: every result equals, bit
+    for bit, the stack of the per-image results."""
+
+    def test_stack_equals_per_image_results(self):
+        rng = Rng(53)
+        b, hgt, wid = 3, 6, 7
+        c = np.stack([helpers.random_contone(rng, hgt, wid)
+                      for _ in range(b)])
+        p = 0.1 + 0.8 * np.stack([helpers.random_contone(rng, hgt, wid)
+                                  for _ in range(b)])
+        h = sample_actions(p, Rng(5))
+        other = np.stack([helpers.random_contone(rng, hgt, wid)
+                          for _ in range(b)])
+        # 6 x 7 images: one BLAS product over the whole stack would sum
+        # some 11 x 11 windows in another order
+        gauss5 = HvsConfig(model="gaussian", size=5, sigma=1.5)
+        for kernel in (build_kernel(gauss5), build_kernel(HvsConfig())):
+            assert convolve_same(c, kernel).tobytes() == np.stack(
+                [convolve_same(ci, kernel) for ci in c]).tobytes()
+
+        for cfg in (SMALL, MetricConfig(w_s=0.0, hvs=gauss5), MetricConfig()):
+            whole = build_reward(h, c, cfg)
+            parts = [build_reward(hi, ci, cfg) for hi, ci in zip(h, c)]
+            assert whole.eval_count == b
+            for name in ("mse", "cssim_scalar", "reward"):
+                assert getattr(whole, name).tobytes() == np.array(
+                    [getattr(part, name) for part in parts]).tobytes()
+            assert delta_map(whole, other).tobytes() == np.stack(
+                [delta_map(part, oi) for part, oi in
+                 zip(parts, other)]).tobytes()
+
+            for estimator in ("local_expectation", "coma", "reinforce"):
+                got = signal(estimator, build_reward(h, c, cfg), p)
+                want = np.stack([signal(estimator, build_reward(hi, ci, cfg),
+                                        pi) for hi, ci, pi in zip(h, c, p)])
+                assert got.tobytes() == want.tobytes(), estimator
+
+        v = np.stack([helpers.random_contone(rng, hgt, wid)
+                      for _ in range(b)])
+        m = sample_actions(v, Rng(7), 4)
+        got = le_signal(build_reward(m, c, SMALL), v, 4)
+        want = np.stack([le_signal(build_reward(mi, ci, SMALL), vi, 4)
+                         for mi, ci, vi in zip(m, c, v)])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTrainConfig:

@@ -145,6 +145,10 @@ def _load_policy(args):
     if args.method != "nn":
         return None
     net, _ = network_from_checkpoint(args.checkpoint)
+    if net.in_channels != 2:
+        raise DataError(f"{args.checkpoint}: the policy takes "
+                        f"{net.in_channels} input channels, but --method nn "
+                        f"feeds it 2 (contone and noise)")
     return net
 
 

@@ -94,31 +94,39 @@ def psnr(mse):
     return -10.0 * math.log10(mse)
 
 
-def _ssim_from_stats(mu_x, mu_y, sxx, syy, sxy, c1, c2):
+def _contone_terms(mu_y, syy):
+    """The y-only SSIM terms (mu_y, mu_y^2, variance, std) from the windowed
+    mean and E[y^2]; the variance clamps at zero. They do not change when
+    only x is edited, so the edit loop computes them once."""
+    mu_y2 = mu_y * mu_y
+    vy = np.maximum(syy - mu_y2, 0.0)
+    return mu_y, mu_y2, vy, np.sqrt(vy)
+
+
+def _ssim_from_stats(mu_x, sxx, sxy, contone, c1, c2):
     """Three-term SSIM map (luminance * contrast * structure) from raw
-    windowed sums sxx=E[x^2], syy=E[y^2], sxy=E[xy]. Variances clamp at
-    zero."""
-    vx = np.maximum(sxx - mu_x * mu_x, 0.0)
-    vy = np.maximum(syy - mu_y * mu_y, 0.0)
+    windowed sums sxx=E[x^2], sxy=E[xy] and y's _contone_terms. Variances
+    clamp at zero."""
+    mu_y, mu_y2, vy, sy = contone
+    mu_x2 = mu_x * mu_x
+    vx = np.maximum(sxx - mu_x2, 0.0)
     cov = sxy - mu_x * mu_y
     sx = np.sqrt(vx)
-    sy = np.sqrt(vy)
     c3 = c2 / 2.0
-    lum = (2.0 * mu_x * mu_y + c1) / (mu_x * mu_x + mu_y * mu_y + c1)
+    lum = (2.0 * mu_x * mu_y + c1) / (mu_x2 + mu_y2 + c1)
     con = (2.0 * sx * sy + c2) / (vx + vy + c2)
     struct = (cov + c3) / (sx * sy + c3)
     return lum * con * struct
 
 
 def _window_stats(h, c, cfg):
-    """Gaussian-window sums (mu_h, mu_c, E[h^2], E[c^2], E[hc]) and the
-    contone's local contrast sigma_c = min(gain * windowed std of c, 1)."""
+    """Gaussian-window sums (mu_h, E[h^2], E[hc]), the contone's
+    _contone_terms, and its local contrast sigma_c = min(gain * windowed
+    std of c, 1)."""
     w = _window_weights(cfg.ssim_window, cfg.ssim_sigma)
-    mu_c = _corr(c, w)
-    scc = _corr(c * c, w)
-    var_c = np.maximum(scc - mu_c * mu_c, 0.0)
-    sigma_c = np.minimum(cfg.contrast_gain * np.sqrt(var_c), 1.0)
-    return _corr(h, w), mu_c, _corr(h * h, w), scc, _corr(h * c, w), sigma_c
+    contone = _contone_terms(_corr(c, w), _corr(c * c, w))
+    sigma_c = np.minimum(cfg.contrast_gain * contone[3], 1.0)
+    return _corr(h, w), _corr(h * h, w), _corr(h * c, w), contone, sigma_c
 
 
 def ssim(x, y, cfg=None, region="valid"):
@@ -126,7 +134,7 @@ def ssim(x, y, cfg=None, region="valid"):
     cfg = cfg or MetricConfig()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    s = _ssim_from_stats(*_window_stats(x, y, cfg)[:5], cfg.c1, cfg.c2)
+    s = _ssim_from_stats(*_window_stats(x, y, cfg)[:4], cfg.c1, cfg.c2)
     return _region_mean(s, cfg, region), s
 
 
@@ -169,10 +177,10 @@ class RewardContext:
         self.w = _window_weights(cfg.ssim_window, cfg.ssim_sigma)
         self.e = (convolve_same(self.h, self.kernel)
                   - convolve_same(self.c, self.kernel))
-        (self.mu_h, self.mu_c, self.shh, self.scc, self.shc,
+        (self.mu_h, self.shh, self.shc, self.contone,
          self.sigma_c) = _window_stats(self.h, self.c, cfg)
-        self.ssim_map = _ssim_from_stats(self.mu_h, self.mu_c, self.shh,
-                                         self.scc, self.shc, cfg.c1, cfg.c2)
+        self.ssim_map = _ssim_from_stats(self.mu_h, self.shh, self.shc,
+                                         self.contone, cfg.c1, cfg.c2)
         self.cssim_map = self.sigma_c * self.ssim_map + (1.0 - self.sigma_c)
         sq_err = self.e * self.e
         self.reward_map = -sq_err + cfg.w_s * self.cssim_map
@@ -232,7 +240,7 @@ def _delta_cssim_map(ctx, delta):
             mu1 = ctx.mu_h[sb] + wd * dv
             shh1 = ctx.shh[sb] + wd * (2.0 * hv * dv + dv * dv)
             shc1 = ctx.shc[sb] + wd * dv * cv
-            s_new = _ssim_from_stats(mu1, ctx.mu_c[sb], shh1, ctx.scc[sb],
-                                     shc1, c1, c2)
+            s_new = _ssim_from_stats(mu1, shh1, shc1,
+                                     [t[sb] for t in ctx.contone], c1, c2)
             out[sa] += ctx.sigma_c[sb] * (s_new - ctx.ssim_map[sb])
     return out

@@ -6,6 +6,19 @@ residual blocks (conv-ReLU-conv plus identity skip) and an output conv to a
 single channel, finished by a pixel-wise sigmoid. 3x3 kernels, stride 1,
 zero padding 1 everywhere, so spatial dims never change.
 
+Conv2d works in a flat-shift layout. It pads a batch once into a
+channels-last buffer (B, H+3, W+2, C) and reads it as one (rows, C) matrix.
+Each of the 9 taps is then one GEMM of a contiguous block of rows with the
+tap's weight slice, accumulated into an output buffer of the same layout,
+and the padding columns are cropped at the end. The input gradient
+scatters back through the same blocks; the weight gradient contracts the
+upstream gradient with each tap's (B*H*W, Cin) window. Every product keeps
+the operand orientation and summation order of a per-tap tensordot, and the
+tests hold the results byte-identical to that form. Forward and backward
+return C-contiguous (B, C, H, W) arrays: numpy reduces in memory order, so
+the layout of an array fixes the bytes of the sums taken over it
+downstream.
+
 Gradients are exact analytic transposes of the forward ops; training injects
 an upstream dL/dp at the sigmoid output and backpropagates to every weight.
 Checkpoints are a fixed little-endian binary: magic "HTNN", version, arch,
@@ -29,48 +42,72 @@ class Parameter:
         self.grad = np.zeros_like(self.value)
 
 
+def _flat_rows(b, hgt, wid, channels):
+    """Zeroed channels-last buffer (B, H+3, W+2, C), its (rows, C) view, and
+    the length of one tap's row block.
+
+    Padded pixel (y, x) of image i is row (i*(H+3) + y)*(W+2) + x, and
+    output pixel (y, x) sits at the row of padded pixel (y, x), so tap
+    (ki, kj) of the whole batch is the block that starts ki*(W+2) + kj rows
+    further on. The extra bottom row keeps the last image's block inside the
+    buffer. Rows of a block that fall in padding columns or between images
+    are computed and never read.
+    """
+    buf = np.zeros((b, hgt + 3, wid + 2, channels))
+    return buf, buf.reshape(-1, channels), (b * (hgt + 3) - 3) * (wid + 2)
+
+
 class Conv2d:
-    """3x3, stride 1, zero-pad 1; forward caches the padded input."""
+    """3x3, stride 1, zero-pad 1, computed as flat shifts: each tap is one
+    GEMM of a contiguous row block of the padded channels-last input with
+    that tap's (Cin, Cout) weight slice. Forward caches the padded buffer;
+    forward and backward return C-contiguous (B, C, H, W) arrays."""
 
     def __init__(self, c_in, c_out):
         self.c_in = c_in
         self.c_out = c_out
         self.weight = Parameter(np.zeros((c_out, c_in, 3, 3)))
         self.bias = Parameter(np.zeros(c_out))
-        self._xp = None
+        self._xb = None
 
     def forward(self, x):
         b, c, hgt, wid = x.shape
         if c != self.c_in:
             raise ValueError(f"expected {self.c_in} input channels, got {c}")
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        out = np.empty((b, self.c_out, hgt, wid))
-        out[:] = self.bias.value[None, :, None, None]
+        xb, xrows, n = _flat_rows(b, hgt, wid, c)
+        xb[:, 1:hgt + 1, 1:wid + 1] = x.transpose(0, 2, 3, 1)
+        out, orows, _ = _flat_rows(b, hgt, wid, self.c_out)
+        orows[:n] = self.bias.value
         w = self.weight.value
         for ki in range(3):
             for kj in range(3):
-                out += np.tensordot(
-                    xp[:, :, ki:ki + hgt, kj:kj + wid], w[:, :, ki, kj],
-                    axes=([1], [1])).transpose(0, 3, 1, 2)
-        self._xp = xp
-        return out
+                at = ki * (wid + 2) + kj
+                orows[:n] += np.dot(xrows[at:at + n], w[:, :, ki, kj].T)
+        self._xb = xb
+        return np.ascontiguousarray(
+            out[:, :hgt, :wid].transpose(0, 3, 1, 2))
 
     def backward(self, dout):
-        xp = self._xp
-        b, _, hp, wp = xp.shape
-        hgt, wid = hp - 2, wp - 2
+        xb = self._xb
+        b, hgt, wid = xb.shape[0], xb.shape[1] - 3, xb.shape[2] - 2
         self.bias.grad += dout.sum(axis=(0, 2, 3))
         w = self.weight.value
-        dxp = np.zeros_like(xp)
+        # dW contracts over (B, H, W) in that order, as one (Cout, B*H*W)
+        # by (B*H*W, Cin) product per tap, so padding rows never enter its
+        # sums
+        dout_t = dout.transpose(1, 0, 2, 3).reshape(self.c_out, -1)
+        dpad, drows, n = _flat_rows(b, hgt, wid, self.c_out)
+        dpad[:, :hgt, :wid] = dout.transpose(0, 2, 3, 1)
+        dxb, dxrows, _ = _flat_rows(b, hgt, wid, self.c_in)
         for ki in range(3):
             for kj in range(3):
-                self.weight.grad[:, :, ki, kj] += np.tensordot(
-                    dout, xp[:, :, ki:ki + hgt, kj:kj + wid],
-                    axes=([0, 2, 3], [0, 2, 3]))
-                dxp[:, :, ki:ki + hgt, kj:kj + wid] += np.tensordot(
-                    dout, w[:, :, ki, kj],
-                    axes=([1], [0])).transpose(0, 3, 1, 2)
-        return dxp[:, :, 1:-1, 1:-1]
+                window = xb[:, ki:ki + hgt, kj:kj + wid].reshape(
+                    -1, self.c_in)
+                self.weight.grad[:, :, ki, kj] += np.dot(dout_t, window)
+                at = ki * (wid + 2) + kj
+                dxrows[at:at + n] += np.dot(drows[:n], w[:, :, ki, kj])
+        return np.ascontiguousarray(
+            dxb[:, 1:hgt + 1, 1:wid + 1].transpose(0, 3, 1, 2))
 
     def params(self):
         return [self.weight, self.bias]

@@ -6,6 +6,10 @@ vectorized implementations is evidence, not tautology. Kernel and window
 WEIGHTS are passed in as plain arrays so these functions depend only on
 array arithmetic. The one exception is exact_gradient_oracle: it checks the
 gradient estimators, so it enumerates the package's own reward and cast.
+
+conv3x3_forward_tensordot and conv3x3_backward_tensordot are not slow: they
+are the per-tap tensordot form nn.Conv2d used before its flat-shift layout,
+kept as the byte-for-byte reference that layout must reproduce.
 """
 
 import numpy as np
@@ -189,6 +193,39 @@ def in_image_autocorrelation_brute(kernel, y, x, hgt, wid):
                                 * kernel[iy, ix])
             out[ly + span, lx + span] = acc
     return out
+
+
+def conv3x3_forward_tensordot(x, weight, bias):
+    """3x3, stride 1, zero-pad 1 correlation of a (B, Cin, H, W) batch: one
+    tensordot per tap over a strided window of the padded input."""
+    b, _, hgt, wid = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    out = np.empty((b, weight.shape[0], hgt, wid))
+    out[:] = bias[None, :, None, None]
+    for ki in range(3):
+        for kj in range(3):
+            out += np.tensordot(
+                xp[:, :, ki:ki + hgt, kj:kj + wid], weight[:, :, ki, kj],
+                axes=([1], [1])).transpose(0, 3, 1, 2)
+    return out
+
+
+def conv3x3_backward_tensordot(x, weight, dout):
+    """(dx, dW, dbias) of conv3x3_forward_tensordot for upstream dout."""
+    _, _, hgt, wid = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    dbias = dout.sum(axis=(0, 2, 3))
+    dweight = np.zeros_like(weight)
+    dxp = np.zeros_like(xp)
+    for ki in range(3):
+        for kj in range(3):
+            dweight[:, :, ki, kj] += np.tensordot(
+                dout, xp[:, :, ki:ki + hgt, kj:kj + wid],
+                axes=([0, 2, 3], [0, 2, 3]))
+            dxp[:, :, ki:ki + hgt, kj:kj + wid] += np.tensordot(
+                dout, weight[:, :, ki, kj],
+                axes=([1], [0])).transpose(0, 3, 1, 2)
+    return dxp[:, :, 1:-1, 1:-1], dweight, dbias
 
 
 def dft2_brute(x):

@@ -7,16 +7,20 @@ observable without spawning interpreters.
 
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from htlab import cli
 from htlab.hvs import HvsConfig, build_kernel, load_kernel_csv
 from htlab.imagecore import Rng, constant_image, load_pgm, save_pbm, save_pgm
-from htlab.nn import PolicyNetwork, read_checkpoint, save_checkpoint
+from htlab.nn import (Adam, CheckpointError, PolicyNetwork, read_checkpoint,
+                      save_checkpoint)
 
 
 def write_contone(path, size=12, seed=1):
@@ -131,6 +135,17 @@ class TestExitCodes:
                          str(tmp_path / "o.pbm"), "--method", "nn",
                          "--checkpoint", str(ck)]) == 3
 
+    @pytest.mark.parametrize("in_channels", [1, 3])
+    def test_checkpoint_of_other_input_channels_is_data_error(
+            self, contone, tmp_path, in_channels):
+        net = PolicyNetwork(channels=2, blocks=0, in_channels=in_channels)
+        net.init_params(Rng(0), std=0.5)
+        ck = tmp_path / "other.htnn"
+        save_checkpoint(str(ck), net)
+        assert cli.main(["halftone", "--input", contone, "--output",
+                         str(tmp_path / "o.pbm"), "--method", "nn",
+                         "--checkpoint", str(ck)]) == 3
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("weight", [math.nan, 1e300])
     @pytest.mark.parametrize("command", ["halftone", "spectra", "eval"])
@@ -173,6 +188,66 @@ class TestExitCodes:
         _, header, rows = parse_csv(run / "log.csv")
         assert header == ["iteration", "reward", "l_as", "bin_gap", "lr"]
         assert [row[0] for row in rows] == ["1"]
+
+
+# the checkpoint header as the format defines it: magic, version, input
+# channels, channels, blocks, iteration, Adam step, four RNG state words
+HEADER = struct.Struct("<4sIIIIQQ4Q")
+HEADER_FIELDS = ([st.binary(min_size=4, max_size=4)]
+                 + [st.integers(0, 2 ** 32 - 1)] * 4
+                 + [st.integers(0, 2 ** 64 - 1)] * 6)
+
+
+def mutate_checkpoint(raw, fields, keep=None, extra=b""):
+    """raw with header fields {index: value} replaced, its body cut to
+    `keep` bytes (None keeps all) and `extra` appended."""
+    header = list(HEADER.unpack_from(raw))
+    for index, value in fields.items():
+        header[index] = value
+    body = raw[HEADER.size:]
+    return HEADER.pack(*header) + body[:keep] + extra
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A valid checkpoint with Adam state, and a directory for mutants."""
+    work = tmp_path_factory.mktemp("fuzz")
+    net = PolicyNetwork(channels=2, blocks=1, in_channels=2)
+    net.init_params(Rng(0), std=0.5)
+    save_checkpoint(str(work / "base.htnn"), net, Adam(net.params()),
+                    iteration=3, rng_state=(1, 2, 3, 4))
+    return (work / "base.htnn").read_bytes(), work
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_files_raise_only_checkpoint_error(self, fuzz_base,
+                                                       data):
+        raw, work = fuzz_base
+        indices = data.draw(st.sets(st.integers(0, len(HEADER_FIELDS) - 1)))
+        fields = {i: data.draw(HEADER_FIELDS[i]) for i in sorted(indices)}
+        keep = data.draw(st.none() | st.integers(0, len(raw) - HEADER.size))
+        extra = data.draw(st.binary(max_size=24))
+        mutated = mutate_checkpoint(raw, fields, keep, extra)
+        if data.draw(st.booleans()):
+            mutated = mutated[:data.draw(st.integers(0, len(mutated)))]
+        path = work / "mutated.htnn"
+        path.write_bytes(mutated)
+        try:
+            read_checkpoint(str(path))
+        except CheckpointError:
+            pass
+
+    def test_mutated_file_makes_halftone_exit_3(self, fuzz_base, contone,
+                                                tmp_path):
+        raw, _ = fuzz_base
+        ck = tmp_path / "v2.htnn"
+        ck.write_bytes(mutate_checkpoint(raw, {1: 2}))
+        assert cli.main(["halftone", "--input", contone, "--output",
+                         str(tmp_path / "o.pbm"), "--method", "nn",
+                         "--checkpoint", str(ck)]) == 3
+        assert not (tmp_path / "o.pbm").exists()
 
 
 class TestHalftoneFlags:

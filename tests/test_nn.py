@@ -3,7 +3,9 @@ checkpoint format.
 
 The convolution convention (correlation, zero pad 1) is pinned with an
 impulse kernel; every analytic gradient is checked against central finite
-differences through the full forward pass, loss = sum(G * p).
+differences through the full forward pass, loss = sum(G * p). The
+flat-shift Conv2d must also reproduce, byte for byte, the per-tap tensordot
+form kept in oracles.
 """
 
 import numpy as np
@@ -91,6 +93,33 @@ class TestConv2d:
         out = float(np.sum(conv.forward(x) * g))
         param.value[...] = keep
         return out
+
+    @pytest.mark.parametrize("batch,c_in,c_out,hgt,wid", [
+        (8, 2, 8, 32, 32), (8, 8, 8, 32, 32), (8, 8, 1, 32, 32),
+        (1, 2, 8, 64, 64), (3, 2, 4, 6, 7), (2, 3, 2, 1, 1),
+        (2, 3, 5, 1, 9)])
+    def test_flat_shift_is_byte_equal_to_tensordot(self, batch, c_in, c_out,
+                                                   hgt, wid):
+        rng = Rng(7)
+        conv = Conv2d(c_in, c_out)
+        conv.weight.value[...] = rng.gaussians(conv.weight.value.size) \
+            .reshape(conv.weight.value.shape) * 0.3
+        conv.bias.value[...] = rng.gaussians(c_out)
+        x = rng.gaussians(batch * c_in * hgt * wid).reshape(
+            batch, c_in, hgt, wid)
+        g = rng.gaussians(batch * c_out * hgt * wid).reshape(
+            batch, c_out, hgt, wid)
+        out = conv.forward(x)
+        dx = conv.backward(g)
+        want_out = oracles.conv3x3_forward_tensordot(
+            x, conv.weight.value, conv.bias.value)
+        want = (want_out,) + oracles.conv3x3_backward_tensordot(
+            x, conv.weight.value, g)
+        got = (out, dx, conv.weight.grad, conv.bias.grad)
+        for name, a, b in zip(("out", "dx", "dW", "dbias"), got, want):
+            assert a.shape == b.shape, name
+            assert a.flags.c_contiguous, name
+            assert a.tobytes() == b.tobytes(), name
 
 
 class TestResidualBlock:

@@ -13,7 +13,9 @@ import sys
 from pathlib import Path
 
 import helpers
-from htlab.imagecore import save_pgm
+from htlab.imagecore import Rng, save_pgm
+from htlab.nn import PolicyNetwork, save_checkpoint
+from test_cli import train_config
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "htlab"
 BENCHMARK = [SRC.parent.parent / "perfbench" / name
@@ -112,10 +114,24 @@ def test_cli_outputs_do_not_depend_on_blas_threads(tmp_path):
     contones.mkdir()
     for k in (1, 2):
         save_pgm(helpers.natural_crop(32, seed=k), contones / f"im{k}.pgm")
+    # 64^2 is large enough for OpenBLAS to split the network's products
+    # across threads
+    save_pgm(helpers.natural_crop(64, seed=3), tmp_path / "im64.pgm")
+    net = PolicyNetwork(channels=8, blocks=1, in_channels=2)
+    net.init_params(Rng(4), std=0.3)
+    checkpoint = tmp_path / "policy.htnn"
+    save_checkpoint(str(checkpoint), net)
     outputs = {}
     for threads in (1, 2):
         out = tmp_path / f"blas{threads}"
         out.mkdir()
+        for levels, name in ((2, "nn2.pbm"), (4, "nn4.pgm")):
+            _run_cli(["halftone", "--input", str(tmp_path / "im64.pgm"),
+                      "--output", name, "--method", "nn", "--checkpoint",
+                      str(checkpoint), "--levels", str(levels), "--seed", "5"],
+                     threads, out)
+        cfg, _ = train_config(out, iterations=2)
+        _run_cli(["train", "--config", cfg], threads, out)
         _run_cli(["halftone", "--input", str(contones / "im1.pgm"),
                   "--output", "dbs.pbm", "--method", "dbs", "--seed", "3",
                   "--max-sweeps", "3", "--trace", "dbs.csv"], threads, out)
@@ -124,6 +140,8 @@ def test_cli_outputs_do_not_depend_on_blas_threads(tmp_path):
         _run_cli(["spectra", "--gray", "0.3", "--method", "bayer",
                   "--output", "spectra.csv"], threads, out)
         outputs[threads] = {name: (out / name).read_bytes() for name in
-                            ("dbs.pbm", "dbs.csv", "eval.csv", "spectra.csv")}
+                            ("dbs.pbm", "dbs.csv", "eval.csv", "spectra.csv",
+                             "nn2.pbm", "nn4.pgm", "run/model.htnn",
+                             "run/log.csv")}
     for name, data in outputs[1].items():
         assert data == outputs[2][name], f"{name} differs across BLAS threads"

@@ -107,6 +107,11 @@ def dbs_search(c, rng=None, hvs_cfg=None, seed_halftone=None, max_sweeps=20):
     Returns (halftone, trace) where trace rows are (sweep, hvs_mse) built
     from the accumulated accepted deltas, so it is non-increasing by
     construction; sweep 0 is the seed error.
+
+    Each pixel, in raster order, takes its best negative-delta move. On an
+    exact float tie the candidate scored first wins: the toggle, then the
+    swaps in _MOVES order. A tie exact only in real arithmetic is decided by
+    rounding, so the summation order of the filtered error can change it.
     """
     c = validate_contone(c)
     if seed_halftone is None:

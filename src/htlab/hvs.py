@@ -6,7 +6,9 @@ transformed. Both are odd-sized, centro-symmetric and normalized to unit DC
 gain, so filtering preserves mean tone. Convolution is a direct windowed sum
 (no FFT path): pixel-local edits then change the output only inside the
 kernel window, which the error-diffusion-free optimizers and the estimator
-toggle algebra rely on.
+toggle algebra rely on. It adds the K^2 weighted shifted slices of one
+zero-padded array in a fixed order and calls no BLAS, so its bytes do not
+depend on the thread count or on whether an image comes alone or stacked.
 """
 
 from dataclasses import dataclass, field
@@ -53,8 +55,8 @@ def build_kernel(cfg):
 
 def build_gaussian_kernel(size, sigma):
     """Sampled isotropic Gaussian, truncated to size x size, sum 1."""
-    if size % 2 != 1 or size < 1:
-        raise ValueError("kernel size must be odd and positive")
+    if size % 2 != 1 or not 1 <= size <= 128:   # the Nasanen grid's bound
+        raise ValueError("kernel size must be odd, in [1, 128]")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     half = size // 2
@@ -110,34 +112,28 @@ def _weights(kernel):
 
 def convolve_same(img, kernel):
     """Same-size direct convolution with zero padding over the last two
-    axes. Leading axes are a batch of images, each contracted on its own:
-    BLAS may sum a window in another order inside one larger product."""
+    axes; leading axes are a batch. Every pixel sums its taps in row-major
+    order, so a stack gives each image the bytes it gets alone."""
     img = np.asarray(img, dtype=np.float64)
     w = _weights(kernel)
     k = w.shape[0]
     if w.ndim != 2 or w.shape[0] != w.shape[1] or k % 2 != 1:
         raise ValueError("kernel must be odd and square")
     half = k // 2
+    rows, cols = img.shape[-2:]
     # convolution flips the kernel; every built-in kernel is centro-symmetric
     # but keep true convolution semantics for arbitrary weights
     wf = w[::-1, ::-1]
-    flat = img.reshape(-1, *img.shape[-2:])
-    out = np.empty_like(flat)
-    for out_i, img_i in zip(out, flat):
-        windows = np.lib.stride_tricks.sliding_window_view(
-            np.pad(img_i, half), (k, k))
-        out_i[...] = np.tensordot(windows, wf, axes=([2, 3], [0, 1]))
-    return out.reshape(img.shape)
+    pad = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(half, half)] * 2)
+    out = np.zeros_like(img)
+    tap = np.empty_like(img)
+    for i in range(k):
+        for j in range(k):
+            np.multiply(pad[..., i:i + rows, j:j + cols], wf[i, j], out=tap)
+            out += tap
+    return out
 
 
 def dump_kernel_csv(kernel, path):
     np.savetxt(path, _weights(kernel), delimiter=",", fmt="%.17g")
 
-
-def load_kernel_csv(path):
-    w = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    if w.shape[0] != w.shape[1] or w.shape[0] % 2 != 1:
-        raise ValueError("kernel CSV must be odd and square")
-    if not np.isclose(w.sum(), 1.0, atol=1e-9):
-        raise ValueError("kernel CSV does not sum to 1")
-    return HvsKernel(w.shape[0], w)

@@ -47,33 +47,14 @@ class Rng:
             s, z = splitmix64(s)
             state.append(z)
         self._s = state
-        self.seed = int(seed) & _M64
 
-    def next_uint64(self):
+    def _words(self, n):
+        """The next n raw 64-bit outputs as Python ints."""
         s0, s1, s2, s3 = self._s
-        x = (s0 + s3) & _M64
-        r = ((((x << 23) | (x >> 41)) & _M64) + s0) & _M64
-        t = (s1 << 17) & _M64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _M64
-        self._s = [s0, s1, s2, s3]
-        return r
-
-    def uniform(self):
-        """One double in [0, 1)."""
-        return (self.next_uint64() >> 11) * _INV53
-
-    def uniforms(self, n):
-        """n doubles in [0, 1) as a 1-D array."""
-        s0, s1, s2, s3 = self._s
-        out = [0.0] * n
+        out = [0] * n
         for i in range(n):
             x = (s0 + s3) & _M64
-            r = ((((x << 23) | (x >> 41)) & _M64) + s0) & _M64
+            out[i] = ((((x << 23) | (x >> 41)) & _M64) + s0) & _M64
             t = (s1 << 17) & _M64
             s2 ^= s0
             s3 ^= s1
@@ -81,9 +62,19 @@ class Rng:
             s0 ^= s3
             s2 ^= t
             s3 = ((s3 << 45) | (s3 >> 19)) & _M64
-            out[i] = (r >> 11) * _INV53
         self._s = [s0, s1, s2, s3]
-        return np.array(out, dtype=np.float64)
+        return out
+
+    def next_uint64(self):
+        return self._words(1)[0]
+
+    def uniform(self):
+        """One double in [0, 1)."""
+        return (self._words(1)[0] >> 11) * _INV53
+
+    def uniforms(self, n):
+        """n doubles in [0, 1) as a 1-D array."""
+        return (np.array(self._words(n), dtype=np.uint64) >> 11) * _INV53
 
     def gaussians(self, n):
         """n standard normals. Pairs are consumed whole: odd n burns one draw."""
@@ -103,10 +94,6 @@ class Rng:
         if n <= 0:
             raise ValueError("n must be positive")
         return int(self.uniform() * n)
-
-    def spawn(self, index):
-        """Independently seeded child generator (deterministic per index)."""
-        return Rng(derive_seed(self.seed, index))
 
     def state_words(self):
         return tuple(self._s)

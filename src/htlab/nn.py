@@ -213,13 +213,17 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            p.value -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, m, v in zip(self.params, self.m, self.v):
+                g = p.grad
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                p.value -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+                # a checkpoint cannot hold a non-finite parameter or moment
+                if not all(np.isfinite(a).all() for a in (p.value, m, v)):
+                    raise FloatingPointError("non-finite Adam update")
 
 
 def cosine_lr(t, total, lr_start=3e-4, lr_end=1e-5):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .hvs import HvsConfig
+from .hvs import HvsConfig, build_kernel
 from .imagecore import Rng, gaussian_noise_map, random_crop
 from .metrics import MetricConfig
 from .nn import Adam, PolicyNetwork, cosine_lr, load_checkpoint
@@ -163,6 +163,7 @@ class TrainConfig:
         if self.log_every < 1 or self.checkpoint_every < 0:
             raise ValueError("log_every must be positive and "
                              "checkpoint_every non-negative")
+        build_kernel(self.metric_config().hvs)
 
 
 def _signal(ctx, p, cfg):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import helpers
 from htlab import cli
-from htlab.hvs import HvsConfig, build_kernel, load_kernel_csv
+from htlab.hvs import HvsConfig, build_kernel
 from htlab.imagecore import Rng, constant_image, load_pgm, save_pbm, save_pgm
 from htlab.nn import (Adam, CheckpointError, PolicyNetwork, read_checkpoint,
                       save_checkpoint)
@@ -188,6 +188,18 @@ class TestExitCodes:
         _, header, rows = parse_csv(run / "log.csv")
         assert header == ["iteration", "reward", "l_as", "bin_gap", "lr"]
         assert [row[0] for row in rows] == ["1"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_adam_step_is_data_error(self, tmp_path, capsys):
+        # w_s = -1e308 overflows the squared gradient of Adam's second
+        # moment; the run must stop before it writes a model it cannot load
+        cfg, values = train_config(tmp_path, iterations=1, w_s=-1e308)
+        assert cli.main(["train", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "diverged at iteration 1" in err
+        assert "Warning" not in err
+        assert sorted(p.name for p in Path(values["out_dir"]).iterdir()) == [
+            "log.csv"]
 
 
 # the checkpoint header as the format defines it: magic, version, input
@@ -388,6 +400,16 @@ class TestConfigParsing:
     def test_invalid_semantics_exit_usage(self, tmp_path):
         cfg, _ = train_config(tmp_path, estimator="coma", levels=3)
         assert cli.main(["train", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"hvs_size": 12}, {"hvs_model": "foo"},
+        {"hvs_model": "gaussian", "hvs_sigma": -1.0}])
+    def test_bad_hvs_value_exits_usage(self, tmp_path, capsys, overrides):
+        # the kernel is built when the config loads, not in the first step
+        cfg, _ = train_config(tmp_path, **overrides)
+        assert cli.main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not (tmp_path / "run").exists()
 
     def test_missing_dataset_dir_is_data_error(self, tmp_path):
         cfg, _ = train_config(tmp_path,
@@ -628,9 +650,9 @@ class TestDumpKernel:
         out = tmp_path / "k.csv"
         assert cli.main(["dump-kernel", "--model", "gaussian", "--size",
                          "7", "--sigma", "1.3", "--output", str(out)]) == 0
-        loaded = load_kernel_csv(str(out))
+        loaded = np.loadtxt(out, delimiter=",", ndmin=2)
         want = build_kernel(HvsConfig(model="gaussian", size=7, sigma=1.3))
-        assert np.array_equal(loaded.weights, want.weights)
+        assert np.array_equal(loaded, want.weights)
 
     def test_bad_size_is_usage(self, tmp_path):
         assert cli.main(["dump-kernel", "--size", "4", "--output",

@@ -5,7 +5,7 @@ import pytest
 
 from htlab.hvs import (HvsConfig, HvsKernel, build_gaussian_kernel,
                        build_kernel, build_nasanen_kernel, convolve_same,
-                       dump_kernel_csv, load_kernel_csv,
+                       dump_kernel_csv,
                        nasanen_frequency_response)
 from htlab.imagecore import Rng
 
@@ -42,6 +42,12 @@ class TestGaussianKernel:
         center = k[3, 3]
         assert center == k.max()
         assert k[3, 3] > k[3, 4] > k[3, 5] > k[3, 6]
+
+    def test_size_bound_matches_nasanen_grid(self):
+        assert build_gaussian_kernel(127, 2.0).size == 127
+        for build in (build_gaussian_kernel, build_nasanen_kernel):
+            with pytest.raises(ValueError, match="kernel"):
+                build(129, 2.0)
 
 
 class TestNasanenKernel:
@@ -128,12 +134,6 @@ class TestKernelCsv:
         kernel = build_nasanen_kernel(11, 2000.0)
         path = tmp_path / "k.csv"
         dump_kernel_csv(kernel, path)
-        back = load_kernel_csv(path)
-        assert back.size == 11
-        assert np.array_equal(back.weights, kernel.weights)
-
-    def test_load_rejects_unnormalized(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0,0.5\n0.25,0.25\n")
-        with pytest.raises(ValueError):
-            load_kernel_csv(path)
+        back = np.loadtxt(path, delimiter=",", ndmin=2)
+        assert back.shape == (11, 11)
+        assert np.array_equal(back, kernel.weights)

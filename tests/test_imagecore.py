@@ -100,14 +100,6 @@ class TestRng:
         with pytest.raises(ValueError):
             r.randint(0)
 
-    def test_spawn_is_seed_derived(self):
-        parent = Rng(21)
-        parent.uniforms(50)     # consuming draws must not affect children
-        child = parent.spawn(3)
-        fresh = Rng(21).spawn(3)
-        assert child.uniforms(8).tolist() == fresh.uniforms(8).tolist()
-        assert Rng(21).spawn(4).uniform() != fresh.uniform()
-
     def test_state_words_roundtrip(self):
         r = Rng(33)
         r.uniforms(17)

@@ -203,8 +203,8 @@ class TestBatchStack:
         h = sample_actions(p, Rng(5))
         other = np.stack([helpers.random_contone(rng, hgt, wid)
                           for _ in range(b)])
-        # 6 x 7 images: one BLAS product over the whole stack would sum
-        # some 11 x 11 windows in another order
+        # 6 x 7 images with windows wider than the image: every pixel of
+        # the stack must still sum its taps in the single-image order
         gauss5 = HvsConfig(model="gaussian", size=5, sigma=1.5)
         for kernel in (build_kernel(gauss5), build_kernel(HvsConfig())):
             assert convolve_same(c, kernel).tobytes() == np.stack(

@@ -58,7 +58,6 @@ def _identifiers(node):
 # top-level definitions that nothing in src or the benchmark calls, kept on
 # purpose: "module.name" -> why
 UNREACHED_ON_PURPOSE = {
-    "hvs.load_kernel_csv": "reads back the CSV that dump-kernel writes",
     "multitone.LevelSet": "the lattice argument of infer_multitone, whose "
                           "callers live outside src",
 }
@@ -96,17 +95,34 @@ def test_every_src_definition_is_reached_from_src_or_the_benchmark():
     assert not stale, "allow-listed but reached: " + ", ".join(stale)
 
 
-def _run_cli(args, blas_threads, cwd):
+def _run_python(args, blas_threads, cwd):
     # the thread count must be in the environment before numpy is imported,
     # so every run is its own interpreter
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
                PYTHONPATH=os.pathsep.join(
                    [str(SRC.parent)] + [p for p in [os.environ.get(
                        "PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-m", "htlab"] + args, cwd=cwd,
-                          env=env, capture_output=True, text=True,
-                          timeout=300)
+    done = subprocess.run([sys.executable] + args, cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _run_cli(args, blas_threads, cwd):
+    _run_python(["-m", "htlab"] + args, blas_threads, cwd)
+
+
+def test_convolve_same_does_not_depend_on_blas_threads(tmp_path):
+    # a 509x511 image is large enough that a BLAS product over its windows
+    # would split the rows across threads and sum them in another order
+    code = ("import hashlib, numpy as np\n"
+            "from htlab.hvs import HvsConfig, build_kernel, convolve_same\n"
+            "img = np.random.default_rng(23).random((509, 511))\n"
+            "out = convolve_same(img, build_kernel(HvsConfig()))\n"
+            "print(hashlib.sha256(out.tobytes()).hexdigest())\n")
+    hashes = {threads: _run_python(["-c", code], threads, tmp_path)
+              for threads in (1, 2)}
+    assert hashes[1] == hashes[2]
 
 
 def test_cli_outputs_do_not_depend_on_blas_threads(tmp_path):

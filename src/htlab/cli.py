@@ -179,9 +179,12 @@ def _synthesize(c, rng, args, policy):
 
 
 # the largest Bayer matrix (8 MiB of int64) and synthesized spectra image
-# (128 MiB of float64) a command builds up front
+# (128 MiB of float64) a command builds up front, and the most spectra
+# realizations it averages (each keeps a curve of four arrays of about 2,900
+# rings at MAX_SIZE, 100 MB in all at the bound)
 MAX_ORDER = 1024
 MAX_SIZE = 4096
+MAX_REALIZATIONS = 1024
 
 
 def _check_synthesis_flags(args):
@@ -266,8 +269,12 @@ def parse_config(text):
 
 
 def load_train_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config {path!r} is not UTF-8 text: {exc}") from None
     cfg = TrainConfig(**parse_config(text))
     try:
         cfg.validate()
@@ -416,8 +423,9 @@ def _spectra_one(task):
 
 def cmd_spectra(args, argv):
     started = _now()
-    if args.realizations < 1:
-        raise UsageError("--realizations must be at least 1")
+    if not 1 <= args.realizations <= MAX_REALIZATIONS:
+        raise UsageError(f"--realizations must lie in [1, "
+                         f"{MAX_REALIZATIONS}]")
     have_synth = args.gray is not None or args.method
     if bool(args.input) == bool(have_synth):
         raise UsageError("give either --input or --gray with --method")

@@ -218,11 +218,16 @@ def delta_map(ctx, other_values):
 
 def _delta_cssim_map(ctx, delta):
     """Sum over window positions b of sigma_c(b) * (SSIM_b(after) -
-    SSIM_b(before)) for an edit at each pixel, accumulated offset by offset."""
+    SSIM_b(before)) for an edit at each pixel, accumulated offset by offset.
+
+    An edit h[a] += d moves the window sums at b by w(a - b) times d,
+    2 h[a] d + d^2 and d c[a]; the per-pixel factors are formed once per
+    call, or once per offset when they carry the offset's weight."""
     hgt, wid = ctx.h.shape[-2:]
     wh = ctx.cfg.ssim_window // 2
     out = np.zeros_like(delta)
     c1, c2 = ctx.cfg.c1, ctx.cfg.c2
+    q = 2.0 * ctx.h * delta + delta * delta
     for dy in range(-wh, wh + 1):
         y0, y1 = max(0, -dy), min(hgt, hgt - dy)
         if y0 >= y1:
@@ -234,12 +239,10 @@ def _delta_cssim_map(ctx, delta):
             wd = ctx.w[wh + dy, wh + dx]
             sb = (..., slice(y0, y1), slice(x0, x1))
             sa = (..., slice(y0 + dy, y1 + dy), slice(x0 + dx, x1 + dx))
-            dv = delta[sa]
-            hv = ctx.h[sa]
-            cv = ctx.c[sa]
-            mu1 = ctx.mu_h[sb] + wd * dv
-            shh1 = ctx.shh[sb] + wd * (2.0 * hv * dv + dv * dv)
-            shc1 = ctx.shc[sb] + wd * dv * cv
+            wdv = wd * delta[sa]
+            mu1 = ctx.mu_h[sb] + wdv
+            shh1 = ctx.shh[sb] + wd * q[sa]
+            shc1 = ctx.shc[sb] + wdv * ctx.c[sa]
             s_new = _ssim_from_stats(mu1, shh1, shc1,
                                      [t[sb] for t in ctx.contone], c1, c2)
             out[sa] += ctx.sigma_c[sb] * (s_new - ctx.ssim_map[sb])

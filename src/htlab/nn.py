@@ -19,6 +19,18 @@ return C-contiguous (B, C, H, W) arrays: numpy reduces in memory order, so
 the layout of an array fixes the bytes of the sums taken over it
 downstream.
 
+A warm training step allocates no scratch. Each Conv2d keeps its padded
+input (backward needs it) and rewrites only its interior; every other
+buffer (the output accumulator, the per-tap GEMM product, the padded
+upstream gradient, the input-gradient accumulator and the weight-gradient
+window and product) lives in a Workspace that the layers of one
+PolicyNetwork share, since none of them outlives the call that fills it.
+A workspace holds one input geometry at a time. Arrays handed to callers
+are always fresh, never views of scratch. A standalone Conv2d owns its
+workspace, and a deep copy of a network gets an empty one, so threads that
+each run their own copy share nothing; one network is not safe to call
+from two threads at once.
+
 Gradients are exact analytic transposes of the forward ops; training injects
 an upstream dL/dp at the sigmoid output and backpropagates to every weight.
 Checkpoints are a fixed little-endian binary: magic "HTNN", version, arch,
@@ -42,70 +54,122 @@ class Parameter:
         self.grad = np.zeros_like(self.value)
 
 
-def _flat_rows(b, hgt, wid, channels):
-    """Zeroed channels-last buffer (B, H+3, W+2, C), its (rows, C) view, and
-    the length of one tap's row block.
+class Workspace:
+    """Scratch arrays of the Conv2d layers of one network.
 
-    Padded pixel (y, x) of image i is row (i*(H+3) + y)*(W+2) + x, and
-    output pixel (y, x) sits at the row of padded pixel (y, x), so tap
-    (ki, kj) of the whole batch is the block that starts ki*(W+2) + kj rows
-    further on. The extra bottom row keeps the last image's block inside the
-    buffer. Rows of a block that fall in padding columns or between images
-    are computed and never read.
+    No value in them outlives the forward or backward call that wrote it,
+    so every layer of a network can share one set. Arrays are keyed by role
+    and shape and allocated zero-filled once; only those of the latest
+    input geometry (B, H, W) are kept, which bounds the memory to one
+    geometry's worth. A deep copy starts empty, so a copied network never
+    shares scratch with its original.
     """
-    buf = np.zeros((b, hgt + 3, wid + 2, channels))
-    return buf, buf.reshape(-1, channels), (b * (hgt + 3) - 3) * (wid + 2)
+
+    def __init__(self):
+        self._geometry = None
+        self._arrays = {}
+
+    def __deepcopy__(self, memo):
+        return Workspace()
+
+    def get(self, geometry, role, shape):
+        """The array for (role, shape), zero-filled when first allocated;
+        switching geometry drops every array of the previous one."""
+        if geometry != self._geometry:
+            self._geometry, self._arrays = geometry, {}
+        arr = self._arrays.get((role, shape))
+        if arr is None:
+            arr = self._arrays[role, shape] = np.zeros(shape)
+        return arr
 
 
 class Conv2d:
     """3x3, stride 1, zero-pad 1, computed as flat shifts: each tap is one
     GEMM of a contiguous row block of the padded channels-last input with
-    that tap's (Cin, Cout) weight slice. Forward caches the padded buffer;
-    forward and backward return C-contiguous (B, C, H, W) arrays."""
+    that tap's (Cin, Cout) weight slice.
 
-    def __init__(self, c_in, c_out):
+    A batch (B, H, W) lives in a buffer (B, H+3, W+2, C) read as its
+    (rows, C) view: padded pixel (y, x) of image i is row
+    (i*(H+3) + y)*(W+2) + x, and output pixel (y, x) sits at the row of
+    padded pixel (y, x), so tap (ki, kj) of the whole batch is the block of
+    n = (B*(H+3) - 3)*(W+2) rows that starts ki*(W+2) + kj rows further on.
+    The extra bottom row keeps the last image's block inside the buffer.
+    Rows of a block that fall in padding columns or between images are
+    computed and never read.
+
+    The padded input is the layer's own, kept for backward; every other
+    buffer comes from the workspace (see the module docstring). Forward and
+    backward return fresh C-contiguous (B, C, H, W) arrays.
+    """
+
+    def __init__(self, c_in, c_out, workspace=None):
         self.c_in = c_in
         self.c_out = c_out
         self.weight = Parameter(np.zeros((c_out, c_in, 3, 3)))
         self.bias = Parameter(np.zeros(c_out))
+        self._ws = Workspace() if workspace is None else workspace
         self._xb = None
 
     def forward(self, x):
         b, c, hgt, wid = x.shape
         if c != self.c_in:
             raise ValueError(f"expected {self.c_in} input channels, got {c}")
-        xb, xrows, n = _flat_rows(b, hgt, wid, c)
+        padded = (b, hgt + 3, wid + 2)
+        n = (b * (hgt + 3) - 3) * (wid + 2)
+        if self._xb is None or self._xb.shape != padded + (c,):
+            self._xb = np.zeros(padded + (c,))
+        xb = self._xb
         xb[:, 1:hgt + 1, 1:wid + 1] = x.transpose(0, 2, 3, 1)
-        out, orows, _ = _flat_rows(b, hgt, wid, self.c_out)
+        xrows = xb.reshape(-1, c)
+        # "acc" is set (here rows :n, the only rows read) at the start of
+        # every call; "product" is overwritten whole by each np.dot
+        geometry = (b, hgt, wid)
+        out = self._ws.get(geometry, "acc", padded + (self.c_out,))
+        orows = out.reshape(-1, self.c_out)
+        product = self._ws.get(geometry, "product", (n, self.c_out))
         orows[:n] = self.bias.value
         w = self.weight.value
         for ki in range(3):
             for kj in range(3):
                 at = ki * (wid + 2) + kj
-                orows[:n] += np.dot(xrows[at:at + n], w[:, :, ki, kj].T)
-        self._xb = xb
+                np.dot(xrows[at:at + n], w[:, :, ki, kj].T, out=product)
+                orows[:n] += product
         return np.ascontiguousarray(
             out[:, :hgt, :wid].transpose(0, 3, 1, 2))
 
     def backward(self, dout):
         xb = self._xb
-        b, hgt, wid = xb.shape[0], xb.shape[1] - 3, xb.shape[2] - 2
+        padded = xb.shape[:3]
+        b, hgt, wid = padded[0], padded[1] - 3, padded[2] - 2
+        n = (b * (hgt + 3) - 3) * (wid + 2)
+        geometry = (b, hgt, wid)
         self.bias.grad += dout.sum(axis=(0, 2, 3))
         w = self.weight.value
         # dW contracts over (B, H, W) in that order, as one (Cout, B*H*W)
         # by (B*H*W, Cin) product per tap, so padding rows never enter its
         # sums
         dout_t = dout.transpose(1, 0, 2, 3).reshape(self.c_out, -1)
-        dpad, drows, n = _flat_rows(b, hgt, wid, self.c_out)
+        # "dpad" is only ever written in its interior, so its padding stays
+        # zero; "acc" is zeroed here; "window", "dw" and "product" are
+        # overwritten whole before each read
+        dpad = self._ws.get(geometry, "dpad", padded + (self.c_out,))
+        drows = dpad.reshape(-1, self.c_out)
         dpad[:, :hgt, :wid] = dout.transpose(0, 2, 3, 1)
-        dxb, dxrows, _ = _flat_rows(b, hgt, wid, self.c_in)
+        dxb = self._ws.get(geometry, "acc", padded + (self.c_in,))
+        dxb[...] = 0.0
+        dxrows = dxb.reshape(-1, self.c_in)
+        window = self._ws.get(geometry, "window", (b, hgt, wid, self.c_in))
+        wrows = window.reshape(-1, self.c_in)
+        dw = self._ws.get(geometry, "dw", (self.c_out, self.c_in))
+        product = self._ws.get(geometry, "product", (n, self.c_in))
         for ki in range(3):
             for kj in range(3):
-                window = xb[:, ki:ki + hgt, kj:kj + wid].reshape(
-                    -1, self.c_in)
-                self.weight.grad[:, :, ki, kj] += np.dot(dout_t, window)
+                window[...] = xb[:, ki:ki + hgt, kj:kj + wid]
+                np.dot(dout_t, wrows, out=dw)
+                self.weight.grad[:, :, ki, kj] += dw
                 at = ki * (wid + 2) + kj
-                dxrows[at:at + n] += np.dot(drows[:n], w[:, :, ki, kj])
+                np.dot(drows[:n], w[:, :, ki, kj], out=product)
+                dxrows[at:at + n] += product
         return np.ascontiguousarray(
             dxb[:, 1:hgt + 1, 1:wid + 1].transpose(0, 3, 1, 2))
 
@@ -116,9 +180,9 @@ class Conv2d:
 class ResidualBlock:
     """x + conv2(relu(conv1(x))); no normalization layers."""
 
-    def __init__(self, channels):
-        self.conv1 = Conv2d(channels, channels)
-        self.conv2 = Conv2d(channels, channels)
+    def __init__(self, channels, workspace=None):
+        self.conv1 = Conv2d(channels, channels, workspace)
+        self.conv2 = Conv2d(channels, channels, workspace)
         self._relu_mask = None
 
     def forward(self, x):
@@ -143,9 +207,12 @@ class PolicyNetwork:
         self.channels = channels
         self.blocks = blocks
         self.in_channels = in_channels
-        self.conv_in = Conv2d(in_channels, channels)
-        self.res = [ResidualBlock(channels) for _ in range(blocks)]
-        self.conv_out = Conv2d(channels, 1)
+        # one workspace for every layer: a layer's scratch never outlives
+        # its call
+        ws = Workspace()
+        self.conv_in = Conv2d(in_channels, channels, ws)
+        self.res = [ResidualBlock(channels, ws) for _ in range(blocks)]
+        self.conv_out = Conv2d(channels, 1, ws)
         self._p = None
 
     def params(self):

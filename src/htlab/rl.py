@@ -117,6 +117,18 @@ def reinforce_signal(ctx, p, baseline):
 # ---------------------------------------------------------------------------
 # training
 
+# A config is refused before anything is built when its network or batch
+# would not fit in memory: at most 128 channels and 64 residual blocks
+# (about 150 MB of float64 weights, four times that with gradients and
+# Adam's moments), a batch of at most 1024 crops, and one (B, C, H, W)
+# activation of at most 2^25 floats (256 MiB). The paper-scale defaults
+# (32 channels, 16 blocks, 64 crops of 64^2) use 2^23.
+MAX_CHANNELS = 128
+MAX_BLOCKS = 64
+MAX_BATCH_SIZE = 1024
+MAX_ACTIVATION = 2 ** 25
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     dataset_dir: str = ""
@@ -157,9 +169,17 @@ class TrainConfig:
         if self.batch_size < 1 or self.crop_size < 1 or self.iterations < 1:
             raise ValueError("batch size, crop size and iterations must be "
                              "positive")
-        if self.channels < 1 or self.blocks < 0:
-            raise ValueError("channels must be positive and blocks "
-                             "non-negative")
+        if not 1 <= self.channels <= MAX_CHANNELS:
+            raise ValueError(f"channels must lie in [1, {MAX_CHANNELS}]")
+        if not 0 <= self.blocks <= MAX_BLOCKS:
+            raise ValueError(f"blocks must lie in [0, {MAX_BLOCKS}]")
+        if self.batch_size > MAX_BATCH_SIZE:
+            raise ValueError(f"batch_size must be at most {MAX_BATCH_SIZE}")
+        activation = self.batch_size * self.channels * self.crop_size ** 2
+        if activation > MAX_ACTIVATION:
+            raise ValueError(
+                f"batch_size * channels * crop_size^2 = {activation} floats "
+                f"per activation, above the bound {MAX_ACTIVATION}")
         if self.log_every < 1 or self.checkpoint_every < 0:
             raise ValueError("log_every must be positive and "
                              "checkpoint_every non-negative")

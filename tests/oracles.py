@@ -10,6 +10,10 @@ gradient estimators, so it enumerates the package's own reward and cast.
 conv3x3_forward_tensordot and conv3x3_backward_tensordot are not slow: they
 are the per-tap tensordot form nn.Conv2d used before its flat-shift layout,
 kept as the byte-for-byte reference that layout must reproduce.
+delta_cssim_map_per_offset is likewise the CSSIM-delta loop as it stood
+before its per-pixel factors were hoisted out of the offset loop; it shares
+the package's SSIM formula, because the hoisted loop must reproduce it byte
+for byte.
 """
 
 import numpy as np
@@ -226,6 +230,37 @@ def conv3x3_backward_tensordot(x, weight, dout):
                 dout, weight[:, :, ki, kj],
                 axes=([1], [0])).transpose(0, 3, 1, 2)
     return dxp[:, :, 1:-1, 1:-1], dweight, dbias
+
+
+def delta_cssim_map_per_offset(ctx, delta):
+    """metrics._delta_cssim_map with every per-pixel factor formed inside
+    the offset loop: sum over window positions b of sigma_c(b) *
+    (SSIM_b(after) - SSIM_b(before)) for an edit at each pixel."""
+    hgt, wid = ctx.h.shape[-2:]
+    wh = ctx.cfg.ssim_window // 2
+    out = np.zeros_like(delta)
+    c1, c2 = ctx.cfg.c1, ctx.cfg.c2
+    for dy in range(-wh, wh + 1):
+        y0, y1 = max(0, -dy), min(hgt, hgt - dy)
+        if y0 >= y1:
+            continue
+        for dx in range(-wh, wh + 1):
+            x0, x1 = max(0, -dx), min(wid, wid - dx)
+            if x0 >= x1:
+                continue
+            wd = ctx.w[wh + dy, wh + dx]
+            sb = (..., slice(y0, y1), slice(x0, x1))
+            sa = (..., slice(y0 + dy, y1 + dy), slice(x0 + dx, x1 + dx))
+            dv = delta[sa]
+            hv = ctx.h[sa]
+            cv = ctx.c[sa]
+            mu1 = ctx.mu_h[sb] + wd * dv
+            shh1 = ctx.shh[sb] + wd * (2.0 * hv * dv + dv * dv)
+            shc1 = ctx.shc[sb] + wd * dv * cv
+            s_new = metrics._ssim_from_stats(
+                mu1, shh1, shc1, [t[sb] for t in ctx.contone], c1, c2)
+            out[sa] += ctx.sigma_c[sb] * (s_new - ctx.ssim_map[sb])
+    return out
 
 
 def dft2_brute(x):

@@ -2,12 +2,18 @@
 outputs, deterministic reruns, and the micro train/resume path.
 
 Everything runs in-process through cli.main so exit codes and stderr are
-observable without spawning interpreters.
+observable without spawning interpreters, except the size-bound tests: they
+run cli.main in a child interpreter under an address-space limit, where a
+missing bound ends in MemoryError instead of taking the machine's memory.
 """
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from htlab import cli
+from htlab import cli, rl
 from htlab.hvs import HvsConfig, build_kernel
 from htlab.imagecore import Rng, constant_image, load_pgm, save_pbm, save_pgm
 from htlab.nn import (Adam, CheckpointError, PolicyNetwork, read_checkpoint,
@@ -68,6 +74,22 @@ def train_config(tmp_path, **overrides):
     cfg.write_text("# micro run\n"
                    + "".join(f"{k} = {v}\n" for k, v in values.items()))
     return str(cfg), values
+
+
+def run_cli_limited(args, cwd, limit=3 * 10 ** 9):
+    """cli.main(args) in a child interpreter whose address space is capped
+    at `limit` bytes, so an allocation a command should never attempt ends
+    there in MemoryError (exit 4) instead of taking the machine's memory."""
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from htlab import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code] + args, cwd=cwd,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
 
 
 class TestExitCodes:
@@ -262,6 +284,50 @@ class TestCheckpointFuzz:
         assert not (tmp_path / "o.pbm").exists()
 
 
+# config lines: a known key (or an unknown or empty one) with a value that
+# parses, is out of range, huge or not a number at all; free text and
+# arbitrary bytes (not all of them UTF-8) cover the rest
+_CONFIG_VALUES = st.one_of(
+    st.integers(-10 ** 6, 10 ** 12).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["true", "no", "nan", "-inf", "1e400", "9" * 5000,
+                     "local_expectation", "coma", "gaussian", "nasanen",
+                     ""]),
+    st.text(max_size=8))
+_CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from([f.name for f in fields(rl.TrainConfig)]
+                              + ["momentum", ""]),
+              _CONFIG_VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(max_size=16))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config_fuzz")
+
+
+class TestConfigFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.one_of(
+        st.lists(_CONFIG_LINES, max_size=8).map(
+            lambda lines: "\n".join(lines).encode("utf-8")),
+        st.binary(max_size=64)))
+    def test_loader_raises_only_usage_error(self, fuzz_dir, data):
+        path = fuzz_dir / "fuzz.cfg"
+        path.write_bytes(data)
+        try:
+            cfg = cli.load_train_config(str(path))
+        except cli.UsageError:
+            return
+        assert isinstance(cfg, rl.TrainConfig)
+
+    def test_config_that_is_not_utf8_exits_usage(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("estimator = coma # \xe9\n".encode("latin-1"))
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+
 class TestHalftoneFlags:
     @pytest.mark.parametrize("extra", [
         ["--levels", "1"],
@@ -410,6 +476,29 @@ class TestConfigParsing:
         assert cli.main(["train", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("usage error: ")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("channels", 100000),       # a 720 GB residual conv weight
+        ("batch_size", 1000000000), ("blocks", 100000000),
+        ("crop_size", 100000)])
+    def test_oversized_network_or_batch_exits_usage(self, tmp_path, key,
+                                                    value):
+        # run under a 3 GB address-space limit: an attempt to build any of
+        # these ends in MemoryError there, so exit 2 shows the config was
+        # refused before anything was allocated
+        cfg, _ = train_config(tmp_path, **{"blocks": 1, key: value})
+        done = run_cli_limited(["train", "--config", cfg], tmp_path)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("usage error: ")
+        assert key in done.stderr
+        assert not (tmp_path / "run").exists()
+
+    def test_size_bounds_admit_the_paper_config_and_themselves(self):
+        rl.TrainConfig().validate()
+        rl.TrainConfig(channels=rl.MAX_CHANNELS, blocks=rl.MAX_BLOCKS,
+                       batch_size=rl.MAX_BATCH_SIZE, crop_size=16).validate()
+        assert (rl.MAX_BATCH_SIZE * rl.MAX_CHANNELS * 16 ** 2
+                == rl.MAX_ACTIVATION)
 
     def test_missing_dataset_dir_is_data_error(self, tmp_path):
         cfg, _ = train_config(tmp_path,
@@ -591,6 +680,17 @@ class TestSpectra:
     def test_flag_validation(self, tmp_path, extra):
         assert cli.main(["spectra", "--output",
                          str(tmp_path / "s.csv")] + extra) == 2
+
+    def test_realizations_above_the_bound_exit_usage(self, tmp_path):
+        # under a 3 GB address-space limit: building the task list of 10^9
+        # realizations ends there in MemoryError, exit 4
+        done = run_cli_limited(["spectra", "--gray", "0.5", "--method",
+                                "white", "--realizations", "1000000000",
+                                "--output", str(tmp_path / "s.csv")],
+                               tmp_path)
+        assert done.returncode == 2, done.stderr
+        assert "--realizations" in done.stderr
+        assert not (tmp_path / "s.csv").exists()
 
     def test_input_and_synthesis_are_exclusive(self, tmp_path):
         h = tmp_path / "h.pbm"

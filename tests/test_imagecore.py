@@ -243,3 +243,52 @@ def test_pbm_roundtrip_property(tmp_path_factory, height, width, seed):
     path = tmp_path_factory.mktemp("pbm") / "x.pbm"
     save_pbm(h, path)
     assert np.array_equal(load_pbm(path), h)
+
+
+# Netpbm-shaped inputs: a magic number, then either a plausible header
+# (small dimensions, a maxval) or header tokens that are valid, out of range,
+# huge or junk, each followed by a separator or a comment, then a binary or
+# an ASCII payload; arbitrary bytes cover the rest
+_SEPARATORS = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"#c\n", b""])
+_TOKENS = st.one_of(
+    st.integers(-2, 70000).map(lambda v: str(v).encode()),
+    st.sampled_from([b"0", b"1", b"255", b"65535", b"65536",
+                     b"99999999999999999999", b"9" * 5000, b"+3", b"1_0",
+                     b"0x10", b"\xff"]),
+    st.binary(max_size=4))
+_SAMPLES = st.lists(st.integers(-1, 300), max_size=20).map(
+    lambda vs: b" ".join(str(v).encode() for v in vs))
+
+
+@st.composite
+def netpbm_bytes(draw):
+    magic = draw(st.sampled_from([b"P2", b"P4", b"P5", b"P1", b""]))
+    if draw(st.booleans()):
+        head = [str(draw(st.integers(1, 4))).encode() for _ in range(2)]
+        if magic != b"P4":
+            head.append(draw(st.sampled_from([b"1", b"255", b"256",
+                                              b"65535"])))
+    else:
+        head = draw(st.lists(_TOKENS, max_size=4))
+    out = b""
+    for token in [magic] + head:
+        out += token + draw(_SEPARATORS)
+    return out + draw(st.one_of(st.binary(max_size=48), _SAMPLES))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "x"
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.one_of(netpbm_bytes(), st.binary(max_size=64)))
+def test_netpbm_loaders_raise_only_netpbm_error(fuzz_path, data):
+    fuzz_path.write_bytes(data)
+    for load in (load_pgm, load_pbm):
+        try:
+            img = load(fuzz_path)
+        except NetpbmError:
+            continue
+        assert img.ndim == 2 and img.dtype == np.float64
+        assert np.all((img >= 0.0) & (img <= 1.0))

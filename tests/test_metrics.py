@@ -16,8 +16,8 @@ import helpers
 import oracles
 from htlab.hvs import HvsConfig, build_gaussian_kernel, build_kernel
 from htlab.imagecore import Rng, constant_image
-from htlab.metrics import (MetricConfig, cssim, delta_map, hvs_mse, psnr,
-                           region_mask, reward, ssim)
+from htlab.metrics import (MetricConfig, _delta_cssim_map, cssim, delta_map,
+                           hvs_mse, psnr, region_mask, reward, ssim)
 
 # Small configuration so brute-force oracles stay fast. Gaussian HVS kernel
 # (sigma chosen off the window sigma so the two never alias) and a 5-tap
@@ -325,6 +325,41 @@ class TestDeltaMap:
         ctx = reward(checkerboard(6, 6), constant_image(0.5, 6, 6), SMALL)
         with pytest.raises(ValueError):
             delta_map(ctx, np.zeros((6, 5)))
+
+
+class TestDeltaCssimLoop:
+    """The offset loop forms its per-pixel factors once per call (or once
+    per offset) and must give the bytes of the loop that formed them
+    inside every offset (oracles.delta_cssim_map_per_offset)."""
+
+    @staticmethod
+    def _pair(kind, rng, shape):
+        """A halftone and the values its pixels are asked to take."""
+        u = rng.uniforms(math.prod(shape)).reshape(shape)
+        if kind == "binary":
+            h = (u < 0.5).astype(np.float64)
+            return h, 1.0 - h
+        # three levels, asked for the other level of each pixel's cast
+        # pair (as the multitone estimator asks) or for arbitrary values
+        h = np.floor(3.0 * u) / 2.0
+        if kind == "lattice":
+            return h, np.where(h == 1.0, 0.5, h + 0.5)
+        return h, rng.uniforms(h.size).reshape(shape)
+
+    @pytest.mark.parametrize("kind", ["binary", "lattice", "off-lattice"])
+    @pytest.mark.parametrize("shape", [(8, 32, 32), (23, 19), (7, 8),
+                                       (1, 1)])
+    def test_bytes_equal_the_per_offset_loop(self, kind, shape):
+        # (7, 8) and (1, 1) are smaller than the 11x11 window, so whole
+        # rows and columns of offsets fall outside the image
+        rng = Rng(53)
+        h, other = self._pair(kind, rng, shape)
+        c = rng.uniforms(h.size).reshape(shape)
+        ctx = reward(h, c, MetricConfig())
+        delta = other - ctx.h
+        got = _delta_cssim_map(ctx, delta)
+        want = oracles.delta_cssim_map_per_offset(ctx, delta)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestEvalCount:

@@ -8,6 +8,10 @@ flat-shift Conv2d must also reproduce, byte for byte, the per-tap tensordot
 form kept in oracles.
 """
 
+import copy
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +33,29 @@ def tiny_net(seed=0, channels=3, blocks=1):
 def net_input(seed=1, size=5, batch=1):
     rng = Rng(seed)
     return rng.uniforms(batch * 2 * size * size).reshape(batch, 2, size, size)
+
+
+def seeded_conv(c_in, c_out, seed=7):
+    rng = Rng(seed)
+    conv = Conv2d(c_in, c_out)
+    conv.weight.value[...] = rng.gaussians(conv.weight.value.size) \
+        .reshape(conv.weight.value.shape) * 0.3
+    conv.bias.value[...] = rng.gaussians(c_out)
+    return conv
+
+
+def gaussians(seed, shape):
+    return Rng(seed).gaussians(int(np.prod(shape))).reshape(shape)
+
+
+def train_pass(net, x, seed):
+    """Forward, then backward of a seeded upstream gradient; the bytes of
+    the output, the input gradient and every parameter gradient."""
+    net.zero_grad()
+    p = net.forward(x)
+    dx = net.backward(gaussians(seed, p.shape))
+    return [p.tobytes(), dx.tobytes()] + [q.grad.tobytes()
+                                          for q in net.params()]
 
 
 class TestConv2d:
@@ -215,6 +242,100 @@ class TestPolicyNetwork:
         net.conv_out.weight.value[...] = 1e300
         with pytest.raises(FloatingPointError):
             net.forward(net_input())
+
+
+class TestWorkspace:
+    def test_a_later_call_leaves_returned_arrays_alone(self):
+        net = tiny_net(seed=31, channels=4, blocks=1)
+        x1, x2 = net_input(seed=33, batch=2), net_input(seed=35, batch=2)
+        p1 = net.forward(x1)
+        keep_p = p1.copy()
+        dx1 = net.backward(gaussians(37, p1.shape))
+        keep_dx = dx1.copy()
+        p2 = net.forward(x2)
+        net.backward(gaussians(39, p2.shape))
+        assert p1.tobytes() == keep_p.tobytes()
+        assert dx1.tobytes() == keep_dx.tobytes()
+        conv = seeded_conv(2, 3)
+        out1 = conv.forward(x1)
+        keep = out1.copy()
+        conv.forward(x2)
+        assert out1.tobytes() == keep.tobytes()
+
+    def test_shape_changes_give_the_bytes_of_fresh_networks(self):
+        def fresh():
+            return tiny_net(seed=41, channels=4, blocks=2)
+
+        shape_a = net_input(seed=43, size=6, batch=3)
+        shape_b = net_input(seed=45, size=9, batch=2)
+        net = fresh()
+        runs = [train_pass(net, x, seed) for x, seed in
+                ((shape_a, 47), (shape_b, 49), (shape_a, 51))]
+        nets = [fresh() for _ in range(3)]
+        want = [train_pass(other, x, seed) for other, (x, seed) in zip(
+            nets, ((shape_a, 47), (shape_b, 49), (shape_a, 51)))]
+        assert runs == want
+        # only the arrays of the latest geometry are kept
+        assert net.conv_in._ws._arrays.keys() == \
+            nets[2].conv_in._ws._arrays.keys()
+
+    def test_one_workspace_per_network_and_per_copy(self):
+        def workspaces(net):
+            convs = [net.conv_in, net.conv_out] + [
+                conv for blk in net.res for conv in (blk.conv1, blk.conv2)]
+            return {id(conv._ws) for conv in convs}
+
+        net = tiny_net(channels=3, blocks=2)
+        twin = copy.deepcopy(net)
+        assert len(workspaces(net)) == len(workspaces(twin)) == 1
+        assert workspaces(net) != workspaces(twin)
+        assert Conv2d(3, 3)._ws is not Conv2d(3, 3)._ws
+
+    def test_threads_on_their_own_copies_give_the_sequential_bytes(self):
+        net = tiny_net(seed=53, channels=8, blocks=2)
+        inputs = [net_input(seed=55 + k, size=24, batch=2) for k in range(4)]
+        want = [copy.deepcopy(net).forward(x).tobytes() for x in inputs]
+        got = [None] * len(inputs)
+        start = threading.Barrier(2)
+
+        def work(first):
+            mine = copy.deepcopy(net)
+            start.wait()
+            for k in range(first, len(inputs), 2):
+                for _ in range(3):
+                    got[k] = mine.forward(inputs[k]).tobytes()
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got == want
+
+    def test_warm_calls_allocate_only_what_they_return(self):
+        # beyond the returned array (and backward's one transposed copy of
+        # dout) a warm call may allocate only Python objects and the
+        # (Cin, Cout) weight slices np.dot copies, a few KiB
+        small = 4 * 1024
+        conv = seeded_conv(8, 8)
+        x = gaussians(57, (8, 8, 32, 32))
+        dout = gaussians(59, (8, 8, 32, 32))
+        conv.forward(x)
+        conv.backward(dout)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = conv.forward(x)
+            forward_peak = tracemalloc.get_traced_memory()[1] - base
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            dx = conv.backward(dout)
+            backward_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert forward_peak <= out.nbytes + small
+        assert backward_peak <= dx.nbytes + dout.nbytes + small
 
 
 class TestAdam:

@@ -166,7 +166,7 @@ def _synthesize(c, rng, args, policy):
             _write_csv(args.trace, ("sweep", "mse"), trace)
         return h
     if method == "nn":
-        # forward keeps its activations on the network, so every task runs
+        # forward writes scratch held by the network, so every task runs
         # its own copy
         try:
             m, _ = rl.infer_halftone(copy.deepcopy(policy), c, rng,

@@ -25,11 +25,13 @@ buffer (the output accumulator, the per-tap GEMM product, the padded
 upstream gradient, the input-gradient accumulator and the weight-gradient
 window and product) lives in a Workspace that the layers of one
 PolicyNetwork share, since none of them outlives the call that fills it.
-A workspace holds one input geometry at a time. Arrays handed to callers
-are always fresh, never views of scratch. A standalone Conv2d owns its
-workspace, and a deep copy of a network gets an empty one, so threads that
-each run their own copy share nothing; one network is not safe to call
-from two threads at once.
+A forward-only call (train=False, as inference runs) keeps nothing for
+backward: its padded inputs are workspace scratch too, and backward must
+wait for the next training forward. A workspace holds one input geometry
+at a time. Arrays handed to callers are always fresh copies, never views
+of scratch. A standalone Conv2d owns its workspace, and a deep copy of a
+network gets an empty one, so threads that each run their own copy share
+nothing; one network is not safe to call from two threads at once.
 
 Gradients are exact analytic transposes of the forward ops; training injects
 an upstream dL/dp at the sigmoid output and backpropagates to every weight.
@@ -97,9 +99,10 @@ class Conv2d:
     Rows of a block that fall in padding columns or between images are
     computed and never read.
 
-    The padded input is the layer's own, kept for backward; every other
-    buffer comes from the workspace (see the module docstring). Forward and
-    backward return fresh C-contiguous (B, C, H, W) arrays.
+    A training forward pads into the layer's own buffer, kept for
+    backward; every other buffer comes from the workspace (see the module
+    docstring). Forward and backward return fresh C-contiguous
+    (B, C, H, W) arrays.
     """
 
     def __init__(self, c_in, c_out, workspace=None):
@@ -110,20 +113,26 @@ class Conv2d:
         self._ws = Workspace() if workspace is None else workspace
         self._xb = None
 
-    def forward(self, x):
+    def forward(self, x, train=True):
         b, c, hgt, wid = x.shape
         if c != self.c_in:
             raise ValueError(f"expected {self.c_in} input channels, got {c}")
         padded = (b, hgt + 3, wid + 2)
         n = (b * (hgt + 3) - 3) * (wid + 2)
-        if self._xb is None or self._xb.shape != padded + (c,):
-            self._xb = np.zeros(padded + (c,))
-        xb = self._xb
+        geometry = (b, hgt, wid)
+        # padded inputs are only ever written in their interior, so their
+        # padding stays zero
+        if not train:
+            self._xb = None
+            xb = self._ws.get(geometry, "xb", padded + (c,))
+        else:
+            if self._xb is None or self._xb.shape != padded + (c,):
+                self._xb = np.zeros(padded + (c,))
+            xb = self._xb
         xb[:, 1:hgt + 1, 1:wid + 1] = x.transpose(0, 2, 3, 1)
         xrows = xb.reshape(-1, c)
         # "acc" is set (here rows :n, the only rows read) at the start of
         # every call; "product" is overwritten whole by each np.dot
-        geometry = (b, hgt, wid)
         out = self._ws.get(geometry, "acc", padded + (self.c_out,))
         orows = out.reshape(-1, self.c_out)
         product = self._ws.get(geometry, "product", (n, self.c_out))
@@ -134,11 +143,14 @@ class Conv2d:
                 at = ki * (wid + 2) + kj
                 np.dot(xrows[at:at + n], w[:, :, ki, kj].T, out=product)
                 orows[:n] += product
-        return np.ascontiguousarray(
-            out[:, :hgt, :wid].transpose(0, 3, 1, 2))
+        # copy() always copies: a view of scratch that happens to be
+        # contiguous (B = H = 1) must not reach the caller
+        return out[:, :hgt, :wid].transpose(0, 3, 1, 2).copy()
 
     def backward(self, dout):
         xb = self._xb
+        if xb is None:
+            raise RuntimeError("backward needs a training forward first")
         padded = xb.shape[:3]
         b, hgt, wid = padded[0], padded[1] - 3, padded[2] - 2
         n = (b * (hgt + 3) - 3) * (wid + 2)
@@ -170,8 +182,7 @@ class Conv2d:
                 at = ki * (wid + 2) + kj
                 np.dot(drows[:n], w[:, :, ki, kj], out=product)
                 dxrows[at:at + n] += product
-        return np.ascontiguousarray(
-            dxb[:, 1:hgt + 1, 1:wid + 1].transpose(0, 3, 1, 2))
+        return dxb[:, 1:hgt + 1, 1:wid + 1].transpose(0, 3, 1, 2).copy()
 
     def params(self):
         return [self.weight, self.bias]
@@ -185,11 +196,12 @@ class ResidualBlock:
         self.conv2 = Conv2d(channels, channels, workspace)
         self._relu_mask = None
 
-    def forward(self, x):
-        y = self.conv1.forward(x)
-        self._relu_mask = y > 0
-        y = y * self._relu_mask
-        return x + self.conv2.forward(y)
+    def forward(self, x, train=True):
+        y = self.conv1.forward(x, train)
+        mask = y > 0
+        self._relu_mask = mask if train else None
+        y = y * mask
+        return x + self.conv2.forward(y, train)
 
     def backward(self, dout):
         dy = self.conv2.backward(dout)
@@ -235,27 +247,31 @@ class PolicyNetwork:
         for p in self.params():
             p.grad[...] = 0.0
 
-    def forward(self, x):
-        """Probabilities in (0, 1), shape (B, 1, H, W)."""
+    def forward(self, x, train=True):
+        """Probabilities in (0, 1), shape (B, 1, H, W). train=False runs
+        forward only and keeps nothing for backward."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4:
             raise ValueError("input must be (batch, channels, height, width)")
         # the finite check is the one report of a diverged net; exp(-logits)
         # overflowing to inf gives the exact limit p = 0
         with np.errstate(over="ignore", invalid="ignore"):
-            y = self.conv_in.forward(x)
+            y = self.conv_in.forward(x, train)
             for blk in self.res:
-                y = blk.forward(y)
-            logits = self.conv_out.forward(y)
+                y = blk.forward(y, train)
+            logits = self.conv_out.forward(y, train)
             if not np.all(np.isfinite(logits)):
                 raise FloatingPointError("non-finite logits")
-            self._p = 1.0 / (1.0 + np.exp(-logits))
-        return self._p
+            p = 1.0 / (1.0 + np.exp(-logits))
+        self._p = p if train else None
+        return p
 
     def backward(self, dp):
         """Backpropagate dL/dp injected at the sigmoid output; accumulates
         parameter gradients and returns dL/dinput."""
         p = self._p
+        if p is None:
+            raise RuntimeError("backward needs a training forward first")
         dlogits = dp * p * (1.0 - p)
         dy = self.conv_out.backward(dlogits)
         for blk in reversed(self.res):

@@ -280,6 +280,6 @@ def infer_halftone(net, c, rng, level_count=2):
     Returns (m, p)."""
     c = np.asarray(c, dtype=np.float64)
     z = gaussian_noise_map(rng, c.shape[1], c.shape[0])
-    p = net.forward(np.stack((c, z))[None])[0, 0]
+    p = net.forward(np.stack((c, z))[None], train=False)[0, 0]
     floor_vals, ceil_vals, p_ceil = _cast_two_point(p, level_count)
     return np.where(p_ceil >= 0.5, ceil_vals, floor_vals), p

@@ -19,7 +19,7 @@ import helpers
 import oracles
 from htlab.imagecore import Rng
 from htlab.nn import (Adam, CheckpointError, Conv2d, Parameter,
-                      PolicyNetwork, ResidualBlock, cosine_lr,
+                      PolicyNetwork, ResidualBlock, Workspace, cosine_lr,
                       load_checkpoint, network_from_checkpoint,
                       read_checkpoint, save_checkpoint)
 
@@ -46,6 +46,11 @@ def seeded_conv(c_in, c_out, seed=7):
 
 def gaussians(seed, shape):
     return Rng(seed).gaussians(int(np.prod(shape))).reshape(shape)
+
+
+def convs(net):
+    return [net.conv_in, net.conv_out] + [
+        conv for blk in net.res for conv in (blk.conv1, blk.conv2)]
 
 
 def train_pass(net, x, seed):
@@ -279,11 +284,33 @@ class TestWorkspace:
         assert net.conv_in._ws._arrays.keys() == \
             nets[2].conv_in._ws._arrays.keys()
 
+    @pytest.mark.parametrize("shape,channels", [((1, 2, 1, 1), 3),
+                                                ((1, 2, 1, 6), 1),
+                                                ((1, 2, 1, 1), 1)])
+    def test_one_row_batches_match_private_workspaces(self, shape, channels):
+        # with B = H = 1 the cropped scratch is itself contiguous, so only
+        # an unconditional copy keeps it from reaching the caller
+        def fresh():
+            net = PolicyNetwork(channels=channels, blocks=2)
+            net.init_params(Rng(61), std=0.5)
+            return net
+
+        x = gaussians(63, shape)
+        net, private = fresh(), fresh()
+        for conv in convs(private):
+            conv._ws = Workspace()
+        for seed in (65, 67):
+            assert train_pass(net, x, seed) == train_pass(private, x, seed)
+        y = net.conv_in.forward(x)
+        dx = net.conv_in.backward(gaussians(69, y.shape))
+        scratch = list(net.conv_in._ws._arrays.values())
+        assert scratch
+        assert not any(np.shares_memory(out, arr)
+                       for out in (y, dx) for arr in scratch)
+
     def test_one_workspace_per_network_and_per_copy(self):
         def workspaces(net):
-            convs = [net.conv_in, net.conv_out] + [
-                conv for blk in net.res for conv in (blk.conv1, blk.conv2)]
-            return {id(conv._ws) for conv in convs}
+            return {id(conv._ws) for conv in convs(net)}
 
         net = tiny_net(channels=3, blocks=2)
         twin = copy.deepcopy(net)
@@ -302,8 +329,8 @@ class TestWorkspace:
             mine = copy.deepcopy(net)
             start.wait()
             for k in range(first, len(inputs), 2):
-                for _ in range(3):
-                    got[k] = mine.forward(inputs[k]).tobytes()
+                for train in (True, False, True):
+                    got[k] = mine.forward(inputs[k], train).tobytes()
 
         threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
         for t in threads:
@@ -320,6 +347,7 @@ class TestWorkspace:
         conv = seeded_conv(8, 8)
         x = gaussians(57, (8, 8, 32, 32))
         dout = gaussians(59, (8, 8, 32, 32))
+        conv.forward(x, train=False)
         conv.forward(x)
         conv.backward(dout)
         tracemalloc.start()
@@ -332,10 +360,40 @@ class TestWorkspace:
             tracemalloc.reset_peak()
             dx = conv.backward(dout)
             backward_peak = tracemalloc.get_traced_memory()[1] - base
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            conv.forward(x, train=False)
+            forward_only_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert forward_peak <= out.nbytes + small
         assert backward_peak <= dx.nbytes + dout.nbytes + small
+        assert forward_only_peak <= out.nbytes + small
+
+
+class TestForwardOnly:
+    def test_gives_the_bytes_of_a_training_forward(self):
+        net = tiny_net(seed=71, channels=4, blocks=2)
+        twin = copy.deepcopy(net)
+        for size, batch in ((6, 3), (9, 2), (6, 3), (1, 1)):
+            x = net_input(seed=73 + size, size=size, batch=batch)
+            assert net.forward(x, train=False).tobytes() == \
+                twin.forward(x).tobytes()
+
+    def test_keeps_nothing_for_backward(self):
+        net = tiny_net(seed=75, channels=4, blocks=2)
+        x = net_input(seed=77, size=6, batch=2)
+        net.forward(x)
+        p = net.forward(x, train=False)
+        assert all(conv._xb is None for conv in convs(net))
+        assert all(blk._relu_mask is None for blk in net.res)
+        with pytest.raises(RuntimeError):
+            net.backward(np.ones_like(p))
+        with pytest.raises(RuntimeError):
+            net.conv_in.backward(np.ones((2, 4, 6, 6)))
+        # a training pass afterwards is that of a fresh network
+        assert train_pass(net, x, 79) == \
+            train_pass(tiny_net(seed=75, channels=4, blocks=2), x, 79)
 
 
 class TestAdam:

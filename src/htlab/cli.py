@@ -33,7 +33,7 @@ from .imagecore import (NetpbmError, Rng, constant_image, derive_seed,
 from .metrics import MetricConfig, cssim, hvs_mse, psnr, region_mask, ssim
 from .nn import CheckpointError, network_from_checkpoint, save_checkpoint
 from .rl import TrainConfig
-from .spectral import anisotropy_db, periodogram, rapsd, ring_partition
+from .spectral import anisotropy_db, periodogram, rapsd
 
 
 class UsageError(Exception):
@@ -417,8 +417,7 @@ def _spectra_one(task):
     else:
         c = constant_image(args.gray, args.size, args.size)
         x = _synthesize(c, Rng(derive_seed(args.seed, index)), args, policy)
-    part = ring_partition(x.shape)
-    return rapsd(periodogram(x), part)
+    return rapsd(periodogram(x))
 
 
 def cmd_spectra(args, argv):

@@ -19,6 +19,8 @@ import numpy as np
 # nothing downstream depends on them numerically).
 NASANEN_CONSTANTS = {"a": 131.6, "b": 0.3188, "c": 0.525, "d": 3.91,
                      "luminance": 11.0}
+# the DFT lattice a Nasanen kernel is sampled on bounds both kernel families
+_NASANEN_GRID = 128
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ def build_kernel(cfg):
 
 def build_gaussian_kernel(size, sigma):
     """Sampled isotropic Gaussian, truncated to size x size, sum 1."""
-    if size % 2 != 1 or not 1 <= size <= 128:   # the Nasanen grid's bound
+    if size % 2 != 1 or not 1 <= size <= _NASANEN_GRID:
         raise ValueError("kernel size must be odd, in [1, 128]")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -66,9 +68,9 @@ def build_gaussian_kernel(size, sigma):
     return HvsKernel(size, k / k.sum())
 
 
-def nasanen_frequency_response(f_cpd, constants=None):
+def nasanen_frequency_response(f_cpd):
     """Exponential contrast-sensitivity falloff at f_cpd cycles/degree."""
-    c = constants or NASANEN_CONSTANTS
+    c = NASANEN_CONSTANTS
     lum = c["luminance"]
     gain = c["a"] * lum ** c["b"]
     return gain * np.exp(-np.asarray(f_cpd, dtype=np.float64)
@@ -82,25 +84,23 @@ def _cpd_grid(n, scale):
     return rho * np.pi * scale / 180.0
 
 
-def build_nasanen_kernel(size, scale, dense_size=128):
+def build_nasanen_kernel(size, scale):
     """Nasanen kernel: frequency-domain sampling, inverse DFT, truncation.
 
-    The response is sampled on a dense_size^2 DFT lattice at the
+    The response is sampled on a 128^2 DFT lattice at the
     cycles/degree mapping implied by scale, inverse transformed to a spatial
     point-spread function, truncated to the central size x size window and
     renormalized to sum 1.
     """
-    if size % 2 != 1 or size < 1:
-        raise ValueError("kernel size must be odd and positive")
+    if size % 2 != 1 or not 1 <= size <= _NASANEN_GRID:
+        raise ValueError("kernel size must be odd, in [1, 128]")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    if dense_size < size:
-        raise ValueError("dense grid smaller than requested kernel")
-    resp = nasanen_frequency_response(_cpd_grid(dense_size, scale))
+    resp = nasanen_frequency_response(_cpd_grid(_NASANEN_GRID, scale))
     spatial = np.fft.ifft2(resp).real
     spatial = np.fft.fftshift(spatial)
     half = size // 2
-    mid = dense_size // 2
+    mid = _NASANEN_GRID // 2
     k = spatial[mid - half:mid + half + 1, mid - half:mid + half + 1].copy()
     return HvsKernel(size, k / k.sum())
 

@@ -182,9 +182,7 @@ class RewardContext:
         self.ssim_map = _ssim_from_stats(self.mu_h, self.shh, self.shc,
                                          self.contone, cfg.c1, cfg.c2)
         self.cssim_map = self.sigma_c * self.ssim_map + (1.0 - self.sigma_c)
-        sq_err = self.e * self.e
-        self.reward_map = -sq_err + cfg.w_s * self.cssim_map
-        self.mse = sq_err.mean(axis=(-2, -1))
+        self.mse = (self.e * self.e).mean(axis=(-2, -1))
         self.cssim_scalar = self.cssim_map.mean(axis=(-2, -1))
         self.reward = -self.mse + cfg.w_s * self.cssim_scalar
         self.eval_count = math.prod(self.h.shape[:-2])

@@ -203,10 +203,11 @@ def train_step(net, adam, dataset, cfg, rng, t):
     """One optimization step; returns the diagnostics row.
 
     The B crops are scored as one (B, H, W) stack: one reward context and
-    one estimator call per step. Draw order per iteration is fixed (image
-    pick, crop offsets, noise map per sample; then the action uniforms of
-    the whole stack; then the anisotropy batch), so a seed pins the whole
-    run.
+    one estimator call per step, and one anisotropy loss and gradient call
+    on the stack of B flat-gray outputs. Draw order per iteration is fixed
+    (image pick, crop offsets, noise map per sample; then the action
+    uniforms of the whole stack; then the B grays and the B noise maps of
+    the anisotropy batch), so a seed pins the whole run.
     """
     size, b = cfg.crop_size, cfg.batch_size
     mcfg = cfg.metric_config()
@@ -225,19 +226,16 @@ def train_step(net, adam, dataset, cfg, rng, t):
     bin_gap = float(np.mean(np.abs(p - np.rint(p))))
 
     l_as = math.nan
-    run_aniso = cfg.w_a != 0.0 and (cfg.levels == 2 or cfg.multitone_anisotropy)
-    if run_aniso:
-        grays = [rng.uniform() for _ in range(b)]
-        znoise = [gaussian_noise_map(rng, size, size) for _ in range(b)]
-        xg = np.stack([np.stack((np.full((size, size), g), z))
-                       for g, z in zip(grays, znoise)])
+    if cfg.w_a != 0.0 and (cfg.levels == 2 or cfg.multitone_anisotropy):
+        xg = np.empty((b, 2, size, size))
+        xg[:, 0] = rng.uniforms(b)[:, None, None]
+        for i in range(b):
+            xg[i, 1] = gaussian_noise_map(rng, size, size)
         pg = net.forward(xg)[:, 0]
         part = ring_partition((size, size))
-        losses = [anisotropy_loss(pg[i], part) for i in range(b)]
-        dpg = np.stack([anisotropy_loss_backward(pg[i], part)
-                        for i in range(b)])
+        l_as = float(np.mean(anisotropy_loss(pg, part)))
+        dpg = anisotropy_loss_backward(pg, part)
         net.backward(dpg[:, None] * (cfg.w_a / b))
-        l_as = float(np.mean(losses))
 
     lr = cosine_lr(t, cfg.iterations, cfg.lr_start, cfg.lr_end)
     adam.step(lr)

@@ -547,6 +547,15 @@ class TestTrain:
         _, _, rows_b = parse_csv(Path(values_b["out_dir"]) / "log.csv")
         assert rows_b == rows_a[2:]
 
+    def test_one_pixel_crops_train_with_zero_anisotropy(self, tmp_path):
+        # a 1x1 crop's spectrum has no ring, so L_as is 0, not an error
+        cfg, values = train_config(tmp_path, crop_size=1,
+                                   w_a=rl.TrainConfig().w_a)
+        assert cli.main(["train", "--config", cfg]) == 0
+        _, header, rows = parse_csv(Path(values["out_dir"]) / "log.csv")
+        assert len(rows) == 4
+        assert {r[header.index("l_as")] for r in rows} == {"0"}
+
 
 class TestEval:
     def _contones(self, tmp_path, n=3, size=18):
@@ -714,6 +723,23 @@ class TestSpectra:
         for row in rows[1:]:
             assert float(row[1]) == 0.0
             assert row[2] == "nan"
+
+    @pytest.mark.parametrize("source", ["input", "synthesis"])
+    def test_one_pixel_halftone_writes_only_the_dc_row(self, tmp_path,
+                                                       source):
+        # a 1x1 lattice has no ring, only its DC bin
+        if source == "input":
+            one = tmp_path / "one.pbm"
+            one.write_bytes(b"P4\n1 1\n\x00")
+            extra = ["--input", str(one)]
+        else:
+            extra = ["--gray", "0.5", "--method", "bayer", "--size", "1"]
+        out = tmp_path / "s.csv"
+        assert cli.main(["spectra", "--output", str(out)] + extra) == 0
+        _, header, rows = parse_csv(out)
+        assert header == ["f_rho", "power", "anisotropy", "anisotropy_db",
+                          "count"]
+        assert rows == [["0", "1", "nan", "nan", "1"]]
 
     def test_zero_anisotropy_has_nan_db(self, tmp_path):
         # one dot per 8x8 tile: a flat periodogram, so every ring's

@@ -248,7 +248,8 @@ class TestRewardContext:
         c = helpers.natural_crop(size=12, seed=2)
         h = helpers.random_halftone(Rng(8), 12, 12)
         ctx = reward(h, c, SMALL)
-        assert ctx.reward == pytest.approx(float(ctx.reward_map.mean()),
+        reward_map = -ctx.e ** 2 + SMALL.w_s * ctx.cssim_map
+        assert ctx.reward == pytest.approx(float(reward_map.mean()),
                                            abs=1e-13)
 
     def test_shape_mismatch_rejected(self):

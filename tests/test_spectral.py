@@ -139,6 +139,13 @@ class TestRapsd:
         assert curve.dc_power == 7.5
         assert np.all(curve.power == 0.0)
 
+    def test_no_ring_lattice_gives_only_dc(self):
+        curve = rapsd(periodogram(np.full((1, 1), 0.6)))
+        assert curve.dc_power == pytest.approx(0.36, rel=1e-15)
+        for arr in (curve.radii, curve.power, curve.anisotropy,
+                    curve.counts):
+            assert arr.shape == (0,)
+
     def test_partition_shape_mismatch(self):
         with pytest.raises(ValueError):
             rapsd(np.zeros((4, 4)), ring_partition((2, 2)))
@@ -190,12 +197,57 @@ class TestAnisotropyLoss:
         scale = max(np.max(np.abs(fd)), 1e-12)
         assert np.max(np.abs(grad - fd)) / scale < 1e-5
 
+    def test_no_ring_lattice_has_zero_loss_and_gradient(self):
+        # a 1x1 image has only its DC bin, which deviates from nothing
+        x = np.full((1, 1), 0.7)
+        assert anisotropy_loss(x) == 0.0
+        grad = anisotropy_loss_backward(x)
+        assert grad.shape == (1, 1)
+        assert grad[0, 0] == 0.0
+
     def test_backward_is_real_and_shaped(self):
         rng = Rng(29)
         x = helpers.random_halftone(rng, 4, 6)
         g = anisotropy_loss_backward(x)
         assert g.shape == (4, 6)
         assert g.dtype == np.float64
+
+
+class TestStacks:
+    """A (B, H, W) stack gives each image the bytes it gets alone."""
+
+    @pytest.mark.parametrize("shape", [(8, 8), (7, 9), (31, 33)])
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    def test_loss_and_gradient(self, batch, shape):
+        rng = Rng(batch * 100 + shape[1])
+        x = np.stack([helpers.random_contone(rng, *shape)
+                      for _ in range(batch)])
+        part = ring_partition(shape)
+        losses = anisotropy_loss(x, part)
+        grads = anisotropy_loss_backward(x, part)
+        assert losses.shape == (batch,)
+        assert grads.shape == x.shape
+        for i in range(batch):
+            assert losses[i] == anisotropy_loss(x[i], part)
+            assert grads[i].tobytes() == \
+                anisotropy_loss_backward(x[i], part).tobytes()
+
+    @pytest.mark.parametrize("shape", [(8, 8), (7, 9), (31, 33)])
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    def test_rapsd_after_periodogram(self, batch, shape):
+        rng = Rng(batch * 100 + shape[0])
+        x = np.stack([helpers.random_halftone(rng, *shape)
+                      for _ in range(batch)])
+        stacked = rapsd(periodogram(x))
+        assert stacked.power.shape == (batch, len(stacked.radii))
+        for i in range(batch):
+            alone = rapsd(periodogram(x[i]))
+            assert stacked.radii.tobytes() == alone.radii.tobytes()
+            assert stacked.counts.tobytes() == alone.counts.tobytes()
+            assert stacked.power[i].tobytes() == alone.power.tobytes()
+            assert stacked.anisotropy[i].tobytes() == \
+                alone.anisotropy.tobytes()
+            assert stacked.dc_power[i] == alone.dc_power
 
 
 @settings(max_examples=25, deadline=None)

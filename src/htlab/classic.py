@@ -10,13 +10,26 @@ a by d changes the squared error by 2 d ce[a] + d^2 k2[a]; a swap of a and
 b adds b's toggle terms and the cross term 2 d_a d_b T(a)[b - a]. Each
 accepted edit adds d T(a) to ce over a's (2K-1)^2 neighbourhood, where
 T(a) is the kernel's exact in-image autocorrelation at a: one table per
-edge class, the plain autocorrelation inside the image."""
+edge class, the plain autocorrelation inside the image.
+
+Two things keep a search from repeating work whose result cannot change:
+- The tables are cached across searches, per HvsConfig, and filled only
+  for the edge classes a search meets. A table depends on nothing but the
+  kernel and the class, so a cached one has the bytes of a fresh one.
+- A pixel scored with no improving move is clean, and is not scored again
+  until an accepted edit changes ce or h at it or at one of its 8
+  neighbours (the (2K+1)^2 block around the edit). Its score reads nothing
+  else, so it would come out the same, ties included.
+The maps live in a layout padded by K on every side, so that neither an
+edit's window nor the block it dirties is ever clipped."""
+
+import functools
 
 import numpy as np
 
-from .hvs import HvsConfig, build_kernel, convolve_same
+from .hvs import HvsConfig, convolve_same
 from .imagecore import validate_contone, validate_halftone
-from .metrics import sse_delta_terms
+from .metrics import _cached_kernel, sse_delta_terms
 
 # swap neighborhood in fixed evaluation order (after the toggle candidate)
 _MOVES = [(-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1)]  # N NE E SE S SW W NW
@@ -101,6 +114,35 @@ def edge_autocorrelation(k, top, bottom, left, right):
     return np.einsum("pqij,ij->pq", windows, k)
 
 
+@functools.lru_cache(maxsize=32)
+def _edge_tables(hvs_cfg):
+    """The edge-class tables of one HvsConfig's kernel, kept across
+    searches: a dict that _edge_class fills as searches meet each class."""
+    return {}
+
+
+def _edge_class(hvs_cfg, key):
+    """(T, swaps) of edge class key = (top, bottom, left, right), the reach
+    of a pixel's window past each image edge clipped at max(K // 2, 1): T is
+    the read-only edge_autocorrelation table and swaps the (dy, dx, cross
+    term) of each swap neighbour inside the image. A reach of 1 also tells
+    which swap neighbours exist when the kernel is 1x1."""
+    tables = _edge_tables(hvs_cfg)
+    entry = tables.get(key)
+    if entry is None:
+        k = _cached_kernel(hvs_cfg).weights
+        half = k.shape[0] // 2
+        span = 2 * half
+        t = edge_autocorrelation(k, *(min(r, half) for r in key))
+        t.flags.writeable = False
+        # a 1x1 kernel has no cross terms
+        swaps = tuple((dy, dx, float(t[span + dy, span + dx]) if span else 0.0)
+                      for dy, dx in _MOVES
+                      if -key[0] <= dy <= key[1] and -key[2] <= dx <= key[3])
+        entry = tables[key] = (t, swaps)
+    return entry
+
+
 def dbs_search(c, rng=None, hvs_cfg=None, seed_halftone=None, max_sweeps=20):
     """Direct binary search from a white-noise seed.
 
@@ -122,77 +164,96 @@ def dbs_search(c, rng=None, hvs_cfg=None, seed_halftone=None, max_sweeps=20):
         h = validate_halftone(seed_halftone)
         if h.shape != c.shape:
             raise ValueError("seed halftone shape mismatch")
-    kernel = build_kernel(hvs_cfg or HvsConfig())
-    k = kernel.weights
+    hvs_cfg = hvs_cfg or HvsConfig()
+    kernel = _cached_kernel(hvs_cfg)
     half = kernel.size // 2
     span = 2 * half
+    win = 2 * span + 1           # an edit's (2K-1)^2 window in ce
     hgt, wid = c.shape
     n = c.size
 
     e = convolve_same(h, kernel) - convolve_same(c, kernel)
     ce, k2 = sse_delta_terms(e, kernel)
-    k2 = k2.ravel().tolist()
     sse = float(np.sum(e * e))
     trace = [(0, sse / n)]
 
-    # the autocorrelation table of a pixel depends only on how far its
-    # window reaches past each image edge; a reach of 1 also tells which
-    # swap neighbours exist when the kernel is 1x1
+    # every map is padded by K = span + 1, so neither an edit's window nor
+    # the dirty block around it needs clipping; no score reads the padding
+    pad = span + 1
+    stride = wid + 2 * pad
+
+    def padded(m):
+        out = np.zeros((hgt + 2 * pad, stride))
+        out[pad:pad + hgt, pad:pad + wid] = m
+        return out
+
+    ce2d = padded(ce)
+    ce = memoryview(ce2d.reshape(-1))     # a float per index, unboxed fast
+    k2 = padded(k2).ravel().tolist()
+    hv = padded(h).ravel().tolist()
+    dirty = bytearray(b"\x01") * ce2d.size
+    dirty2d = np.frombuffer(dirty, dtype=np.uint8).reshape(ce2d.shape)
+
     reach = max(half, 1)
     ycls = [(min(y, reach), min(hgt - 1 - y, reach)) for y in range(hgt)]
     xcls = [(min(x, reach), min(wid - 1 - x, reach)) for x in range(wid)]
-    tables = {}
-
-    def table(y, x):
-        key = ycls[y] + xcls[x]
-        entry = tables.get(key)
-        if entry is None:
-            top, bottom, left, right = (min(r, half) for r in key)
-            t = edge_autocorrelation(k, top, bottom, left, right)
-            # (flat offset, cross term) of each swap neighbour in the image;
-            # a 1x1 kernel has no cross terms
-            swaps = [(dy * wid + dx, float(t[span + dy, span + dx])
-                      if span else 0.0)
-                     for dy, dx in _MOVES
-                     if -key[0] <= dy <= key[1] and -key[2] <= dx <= key[3]]
-            entry = tables[key] = (t, swaps)
-        return entry
+    classes = {}
+    cells = [None] * ce2d.size   # (y, x, T) of each pixel, padded index
+    order = []                   # (padded index, swaps) in raster order
+    for y in range(hgt):
+        for x in range(wid):
+            key = ycls[y] + xcls[x]
+            cls = classes.get(key)
+            if cls is None:
+                t, swaps = _edge_class(hvs_cfg, key)
+                cls = classes[key] = (t, [(dy * stride + dx, -2.0 * cross)
+                                          for dy, dx, cross in swaps])
+            a = (y + pad) * stride + x + pad
+            cells[a] = (y, x, cls[0])
+            order.append((a, cls[1]))
 
     def apply(a, delta):
-        y, x = divmod(a, wid)
+        y, x, t = cells[a]
         hv[a] += delta
-        y0, y1 = max(0, y - span), min(hgt, y + span + 1)
-        x0, x1 = max(0, x - span), min(wid, x + span + 1)
-        ce[y0:y1, x0:x1] += delta * table(y, x)[0][
-            y0 - y + span:y1 - y + span, x0 - x + span:x1 - x + span]
+        window = ce2d[y + 1:y + 1 + win, x + 1:x + 1 + win]
+        if delta > 0.0:
+            window += t
+        else:
+            window -= t
+        dirty2d[y:y + win + 2, x:x + win + 2] = 1
 
-    hv = h.ravel().tolist()
-    ce_at = ce.item
-    swaps_at = [table(y, x)[1] for y in range(hgt) for x in range(wid)]
     for sweep in range(1, max_sweeps + 1):
         changed = 0
-        for a, swaps in enumerate(swaps_at):
+        for a, swaps in order:
+            # a pixel scored with no improving move stays clean until an
+            # edit changes ce or h at it or one of its 8 neighbours, all its
+            # score reads; rescoring it sooner would give the same answer
+            if not dirty[a]:
+                continue
+            dirty[a] = 0
             ha = hv[a]
             da = 1.0 - 2.0 * ha
-            best = toggle = 2.0 * da * ce_at(a) + k2[a]
+            two_da = 2.0 * da
+            best = toggle = two_da * ce[a] + k2[a]
             best_move = 0
-            db = -da
-            for off, cross in swaps:
+            for off, cross2 in swaps:
                 b = a + off
                 if hv[b] == ha:
                     continue                     # equal pixels: identity
-                d = (toggle + 2.0 * db * ce_at(b) + k2[b]
-                     + 2.0 * da * db * cross)
+                # with db = -da, 2 db ce[b] = -(2 da ce[b]) and the cross
+                # term 2 da db T = -2 T, stored as cross2
+                d = toggle - two_da * ce[b] + k2[b] + cross2
                 if d < best:
                     best = d
                     best_move = off
             if best < 0.0:
                 apply(a, da)
                 if best_move:
-                    apply(a + best_move, db)
+                    apply(a + best_move, -da)
                 sse += best
                 changed += 1
         if changed == 0:
             break
         trace.append((sweep, sse / n))
-    return np.array(hv).reshape(c.shape), trace
+    out = np.array(hv).reshape(ce2d.shape)
+    return out[pad:pad + hgt, pad:pad + wid].copy(), trace

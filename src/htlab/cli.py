@@ -30,7 +30,8 @@ from .classic import (dbs_search, floyd_steinberg, ordered_dither,
 from .hvs import HvsConfig, build_kernel, dump_kernel_csv
 from .imagecore import (NetpbmError, Rng, constant_image, derive_seed,
                         load_pbm, load_pgm, save_pbm, save_pgm)
-from .metrics import MetricConfig, cssim, hvs_mse, psnr, region_mask, ssim
+from .metrics import (MetricConfig, hvs_mse, psnr, region_mask,
+                      ssim_and_cssim)
 from .nn import CheckpointError, network_from_checkpoint, save_checkpoint
 from .rl import TrainConfig
 from .spectral import anisotropy_db, periodogram, rapsd
@@ -370,11 +371,11 @@ def _eval_one(task):
                             f"{h.shape}")
     else:
         h = _synthesize(c, Rng(derive_seed(args.seed, index)), args, policy)
+    (s, _), (cs, _) = ssim_and_cssim(h, c, nas, region="valid")
     return (stem,
             psnr(hvs_mse(h, c, nas, region="valid")),
             psnr(hvs_mse(h, c, gau, region="valid")),
-            ssim(h, c, nas, region="valid")[0],
-            cssim(h, c, nas, region="valid")[0])
+            s, cs)
 
 
 def cmd_eval(args, argv):

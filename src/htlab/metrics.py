@@ -129,23 +129,32 @@ def _window_stats(h, c, cfg):
     return _corr(h, w), _corr(h * h, w), _corr(h * c, w), contone, sigma_c
 
 
-def ssim(x, y, cfg=None, region="valid"):
-    """SSIM scalar and map over Gaussian-weighted windows."""
-    cfg = cfg or MetricConfig()
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    s = _ssim_from_stats(*_window_stats(x, y, cfg)[:4], cfg.c1, cfg.c2)
-    return _region_mean(s, cfg, region), s
-
-
-def cssim(h, c, cfg=None, region="valid"):
+def _cssim_map(sigma_c, ssim_map):
     """Contrast-weighted SSIM: sigma_c * SSIM + (1 - sigma_c) * 1."""
+    return sigma_c * ssim_map + (1.0 - sigma_c)
+
+
+def ssim_and_cssim(h, c, cfg=None, region="valid"):
+    """(ssim(h, c), cssim(h, c)), each a (scalar, map) pair, from one build
+    of the window sums."""
     cfg = cfg or MetricConfig()
     h = np.asarray(h, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     *sums, sc = _window_stats(h, c, cfg)
-    cs_map = sc * _ssim_from_stats(*sums, cfg.c1, cfg.c2) + (1.0 - sc)
-    return _region_mean(cs_map, cfg, region), cs_map
+    s_map = _ssim_from_stats(*sums, cfg.c1, cfg.c2)
+    cs_map = _cssim_map(sc, s_map)
+    return ((_region_mean(s_map, cfg, region), s_map),
+            (_region_mean(cs_map, cfg, region), cs_map))
+
+
+def ssim(x, y, cfg=None, region="valid"):
+    """SSIM scalar and map over Gaussian-weighted windows."""
+    return ssim_and_cssim(x, y, cfg, region)[0]
+
+
+def cssim(h, c, cfg=None, region="valid"):
+    """Contrast-weighted SSIM scalar and map (see _cssim_map)."""
+    return ssim_and_cssim(h, c, cfg, region)[1]
 
 
 def sse_delta_terms(e, kernel):
@@ -181,7 +190,7 @@ class RewardContext:
          self.sigma_c) = _window_stats(self.h, self.c, cfg)
         self.ssim_map = _ssim_from_stats(self.mu_h, self.shh, self.shc,
                                          self.contone, cfg.c1, cfg.c2)
-        self.cssim_map = self.sigma_c * self.ssim_map + (1.0 - self.sigma_c)
+        self.cssim_map = _cssim_map(self.sigma_c, self.ssim_map)
         self.mse = (self.e * self.e).mean(axis=(-2, -1))
         self.cssim_scalar = self.cssim_map.mean(axis=(-2, -1))
         self.reward = -self.mse + cfg.w_s * self.cssim_scalar

@@ -224,6 +224,8 @@ def train_step(net, adam, dataset, cfg, rng, t):
     net.backward(signal[:, None] / b)
     mean_reward = float(np.mean(ctx.reward))
     bin_gap = float(np.mean(np.abs(p - np.rint(p))))
+    # nothing reads the reward maps again; free them before the second pass
+    del ctx, signal
 
     l_as = math.nan
     if cfg.w_a != 0.0 and (cfg.levels == 2 or cfg.multitone_anisotropy):

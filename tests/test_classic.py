@@ -14,6 +14,7 @@ import pytest
 
 import helpers
 import oracles
+from htlab import classic
 from htlab.classic import (bayer_matrix, dbs_search, edge_autocorrelation,
                            floyd_steinberg, ordered_dither,
                            white_noise_threshold)
@@ -248,7 +249,7 @@ class TestDbs:
                                       white_noise_threshold(c, Rng(19)))
         assert len(trace) > 2
 
-    @pytest.mark.parametrize("max_sweeps", [0, 1])
+    @pytest.mark.parametrize("max_sweeps", [0, 1, 2])
     def test_24_gray_seeded_with_sweep_cap(self, max_sweeps):
         c = constant_image(0.3, 24, 24)
         trace = assert_matches_oracle(c, HvsConfig(),
@@ -293,3 +294,85 @@ class TestDbs:
                 want = oracles.in_image_autocorrelation_brute(k, y, x, hgt,
                                                               wid)
                 assert np.max(np.abs(got - want)) <= 1e-15, (y, x)
+
+
+ONE_TAP = HvsConfig(model="gaussian", size=1, sigma=1.0)
+
+
+class TestDbsLayout:
+    """The padded maps, the cached edge tables and the clean-pixel skip,
+    each held to the window-sum oracle byte for byte."""
+
+    @pytest.mark.parametrize("cfg", [HvsConfig(), GAUSS5, SMALL_HVS])
+    @pytest.mark.parametrize("hgt, wid", [(1, 13), (13, 1)])
+    def test_one_row_and_one_column(self, cfg, hgt, wid):
+        c = helpers.natural_crop(size=13, seed=2)[:hgt, :wid]
+        assert_matches_oracle(c, cfg, white_noise_threshold(c, Rng(31)))
+
+    @pytest.mark.parametrize("hgt, wid", [(1, 1), (2, 3), (4, 6), (7, 3),
+                                          (10, 10)])
+    def test_image_smaller_than_the_kernel(self, hgt, wid):
+        c = helpers.natural_crop(size=10, seed=8)[:hgt, :wid]
+        assert_matches_oracle(c, HvsConfig(),
+                              white_noise_threshold(c, Rng(37)))
+
+    def test_one_tap_kernel(self):
+        c = helpers.natural_crop(size=9, seed=4)[:, :7]
+        trace = assert_matches_oracle(c, ONE_TAP,
+                                      white_noise_threshold(c, Rng(41)))
+        assert len(trace) > 1
+
+    def test_swap_partners_on_last_row_and_column(self):
+        # a 1x1 kernel and dyadic tones make every delta exact. Each
+        # mid-gray white pixel is worth 0 to toggle, and its one black
+        # neighbour on white contone is worth -1: (0, 2) swaps E into the
+        # last column, (1, 0) S into the last row and (1, 2) SE into the
+        # corner. Every other pixel already equals its contone.
+        c = np.array([[0.0, 1.0, 0.5, 1.0],
+                      [0.5, 1.0, 0.5, 0.0],
+                      [1.0, 0.0, 1.0, 1.0]])
+        seed = np.array([[0.0, 1.0, 1.0, 0.0],
+                         [1.0, 1.0, 1.0, 0.0],
+                         [0.0, 0.0, 1.0, 0.0]])
+        trace = assert_matches_oracle(c, ONE_TAP, seed)
+        h, _ = dbs_search(c, hvs_cfg=ONE_TAP, seed_halftone=seed)
+        assert h.tolist() == [[0.0, 1.0, 0.0, 1.0],
+                              [0.0, 1.0, 0.0, 0.0],
+                              [1.0, 0.0, 1.0, 1.0]]
+        assert trace == [(0, 0.3125), (1, 0.0625)]
+
+    def test_clean_pixel_dirtied_again_in_the_same_sweep(self):
+        # a 1x1 kernel and dyadic tones make every delta exact. In sweep 1,
+        # pixel 0 (toggle worth 0, its one neighbour equal) is clean; then
+        # pixel 1 swaps with pixel 2 (0.5 - 1), which leaves pixel 1 black
+        # with a toggle worth -0.5. Sweep 2 must score pixel 0 again, and
+        # it swaps with pixel 1.
+        c = np.array([[0.5, 0.75, 1.0, 0.0]])
+        seed = np.array([[1.0, 1.0, 0.0, 0.0]])
+        trace = assert_matches_oracle(c, ONE_TAP, seed)
+        h, _ = dbs_search(c, hvs_cfg=ONE_TAP, seed_halftone=seed)
+        assert h.tolist() == [[0.0, 1.0, 1.0, 0.0]]
+        assert trace == [(0, 0.328125), (1, 0.203125), (2, 0.078125)]
+
+    def test_interleaved_configs_give_the_bytes_of_fresh_calls(self):
+        # two kernels of one size meet the same edge classes, so a table
+        # cached under the other config would be found and used
+        narrow = HvsConfig(model="gaussian", size=5, sigma=0.8)
+        c = helpers.natural_crop(size=12, seed=5)
+        seed = white_noise_threshold(c, Rng(43))
+        classic._edge_tables.cache_clear()
+        fresh = {}
+        for cfg in (narrow, GAUSS5, narrow, GAUSS5):
+            trace = assert_matches_oracle(c, cfg, seed)
+            assert trace == fresh.setdefault(cfg, trace)
+        assert fresh[narrow] != fresh[GAUSS5]
+
+    def test_cached_tables_are_read_only(self):
+        c = helpers.natural_crop(size=8, seed=6)
+        dbs_search(c, rng=Rng(47), hvs_cfg=GAUSS5)
+        tables = classic._edge_tables(GAUSS5)
+        assert tables
+        for t, _ in tables.values():
+            assert not t.flags.writeable
+            with pytest.raises(ValueError):
+                t[0, 0] = 1.0

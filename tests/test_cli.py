@@ -23,8 +23,10 @@ from hypothesis import strategies as st
 
 import helpers
 from htlab import cli, rl
+from htlab.classic import floyd_steinberg
 from htlab.hvs import HvsConfig, build_kernel
 from htlab.imagecore import Rng, constant_image, load_pgm, save_pbm, save_pgm
+from htlab.metrics import cssim, ssim
 from htlab.nn import (Adam, CheckpointError, PolicyNetwork, read_checkpoint,
                       save_checkpoint)
 
@@ -640,14 +642,27 @@ class TestEval:
 
     def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
         cdir = self._contones(tmp_path)
-        texts = []
-        for threads, name in (("1", "m1.csv"), ("2", "m2.csv")):
-            monkeypatch.setenv("HTLAB_THREADS", threads)
-            out = tmp_path / name
-            assert cli.main(["eval", "--contone-dir", cdir, "--method",
-                             "fs", "--output", str(out)]) == 0
-            texts.append(out.read_text())
-        assert texts[0] == texts[1]
+        for method in ("fs", "dbs"):
+            texts = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("HTLAB_THREADS", threads)
+                out = tmp_path / f"{method}{threads}.csv"
+                assert cli.main(["eval", "--contone-dir", cdir, "--method",
+                                 method, "--output", str(out)]) == 0
+                texts.append(out.read_text())
+            assert texts[0] == texts[1], method
+
+    def test_ssim_columns_equal_the_direct_metrics(self, tmp_path):
+        cdir = self._contones(tmp_path)
+        out = tmp_path / "m.csv"
+        assert cli.main(["eval", "--contone-dir", cdir, "--method", "fs",
+                         "--output", str(out)]) == 0
+        _, header, rows = parse_csv(out)
+        for row in rows[:-2]:                    # before the mean and std
+            c = load_pgm(os.path.join(cdir, row[0] + ".pgm"))
+            h = floyd_steinberg(c)
+            assert float(row[header.index("ssim")]) == ssim(h, c)[0]
+            assert float(row[header.index("cssim")]) == cssim(h, c)[0]
 
     def test_nn_reads_checkpoint_once_at_any_thread_cap(
             self, tmp_path, monkeypatch, tiny_checkpoint):

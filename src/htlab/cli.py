@@ -12,13 +12,11 @@ Reruns with identical arguments and seed produce byte-identical outputs
 """
 
 import argparse
-import copy
 import hashlib
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from datetime import datetime, timezone
 
@@ -103,32 +101,6 @@ def _now():
     return datetime.now(timezone.utc).isoformat()
 
 
-def _worker_count(n_items):
-    cap = os.environ.get("HTLAB_THREADS")
-    if cap is None:
-        workers = os.cpu_count() or 1
-    else:
-        try:
-            workers = int(cap)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise UsageError(f"HTLAB_THREADS must be a positive integer, "
-                             f"got {cap!r}")
-    return max(1, min(n_items, workers))
-
-
-def _parallel_map(func, items):
-    """Map preserving input order; pool size honors HTLAB_THREADS."""
-    if not items:
-        return []
-    workers = _worker_count(len(items))
-    if workers == 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
-
-
 def _load_halftone(path):
     if path.endswith(".pbm"):
         return load_pbm(path)
@@ -167,14 +139,17 @@ def _synthesize(c, rng, args, policy):
             _write_csv(args.trace, ("sweep", "mse"), trace)
         return h
     if method == "nn":
-        # forward writes scratch held by the network, so every task runs
-        # its own copy
         try:
-            m, _ = rl.infer_halftone(copy.deepcopy(policy), c, rng,
-                                     level_count=args.levels)
+            m, _ = rl.infer_halftone(policy, c, rng, level_count=args.levels)
         except FloatingPointError as exc:
             raise DataError(f"checkpoint {args.checkpoint!r} gives a "
                             f"non-finite policy output ({exc})") from exc
+        except MemoryError as exc:
+            # forward-only inference keeps no activations, so no fixed bound
+            # fits every machine: refuse only what does not fit in this one
+            raise DataError(f"a {c.shape[1]}x{c.shape[0]} image through "
+                            f"{policy.channels} policy channels does not fit "
+                            f"in memory ({exc!r})") from exc
         return m
     raise UsageError(f"unknown method {method!r}")
 
@@ -213,6 +188,8 @@ def _check_synthesis_flags(args):
 
 def cmd_halftone(args, argv):
     started = _now()
+    if not args.method:
+        raise UsageError("halftone requires --method")
     _check_synthesis_flags(args)
     c = load_pgm(args.input)
     out = _synthesize(c, Rng(args.seed), args, _load_policy(args))
@@ -355,8 +332,7 @@ def _find_mate(stem, halftone_dir):
     raise DataError(f"no halftone mate for {stem!r} in {halftone_dir!r}")
 
 
-def _eval_one(task):
-    stem, contone_path, args, index, policy = task
+def _eval_one(stem, contone_path, args, index, policy):
     c = load_pgm(contone_path)
     nas = MetricConfig()
     gau = MetricConfig(hvs=HvsConfig(model="gaussian"))
@@ -391,10 +367,9 @@ def cmd_eval(args, argv):
     if not names:
         raise DataError(f"no .pgm images in {args.contone_dir!r}")
     policy = _load_policy(args)
-    tasks = [(os.path.splitext(name)[0],
-              os.path.join(args.contone_dir, name), args, i, policy)
-             for i, name in enumerate(names)]
-    rows = _parallel_map(_eval_one, tasks)
+    rows = [_eval_one(os.path.splitext(name)[0],
+                      os.path.join(args.contone_dir, name), args, i, policy)
+            for i, name in enumerate(names)]
     cols = np.array([row[1:] for row in rows], dtype=np.float64)
     # perfect reconstructions put +inf in the psnr columns; their spread is
     # then nan by design, not a numerical accident
@@ -411,8 +386,7 @@ def cmd_eval(args, argv):
 # ---------------------------------------------------------------------------
 # spectra
 
-def _spectra_one(task):
-    args, index, policy = task
+def _spectra_one(args, index, policy):
     if args.input:
         x = _load_halftone(args.input)
     else:
@@ -439,8 +413,8 @@ def cmd_spectra(args, argv):
     _check_synthesis_flags(args)
 
     policy = _load_policy(args)
-    curves = _parallel_map(_spectra_one, [(args, i, policy)
-                                          for i in range(args.realizations)])
+    curves = [_spectra_one(args, i, policy)
+              for i in range(args.realizations)]
     power = np.mean([cv.power for cv in curves], axis=0)
     anis = np.mean([cv.anisotropy for cv in curves], axis=0)
     dc = float(np.mean([cv.dc_power for cv in curves]))
@@ -482,6 +456,8 @@ def _synthesis_flags():
     """Flags of every command that synthesizes halftones; checked once by
     _check_synthesis_flags."""
     p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--method", choices=_METHODS,
+                   help="synthesize with this method (required by halftone)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint", help="policy weights (--method nn)")
     p.add_argument("--levels", type=int, default=2,
@@ -510,7 +486,6 @@ def build_parser():
     p.add_argument("--input", required=True, help="contone .pgm")
     p.add_argument("--output", required=True,
                    help="output .pbm (binary) or .pgm (multitone)")
-    p.add_argument("--method", required=True, choices=_METHODS)
     p.add_argument("--trace", help="write the search error trace CSV "
                                    "(--method dbs)")
     p.set_defaults(func=cmd_halftone)
@@ -525,8 +500,6 @@ def build_parser():
     p.add_argument("--contone-dir", required=True)
     p.add_argument("--halftone-dir",
                    help="mates matched by stem (.pbm, then .pgm)")
-    p.add_argument("--method", choices=_METHODS,
-                   help="synthesize the halftones instead")
     p.add_argument("--output", required=True, help="metrics CSV")
     p.set_defaults(func=cmd_eval)
 
@@ -535,7 +508,6 @@ def build_parser():
     p.add_argument("--input", help="halftone .pbm/.pgm to analyze")
     p.add_argument("--gray", type=float,
                    help="synthesize from this constant tone")
-    p.add_argument("--method", choices=_METHODS)
     p.add_argument("--size", type=int, default=64,
                    help="synthesized image side")
     p.add_argument("--realizations", type=int, default=1,

@@ -25,9 +25,11 @@ import helpers
 from htlab import cli, rl
 from htlab.classic import floyd_steinberg
 from htlab.hvs import HvsConfig, build_kernel
-from htlab.imagecore import Rng, constant_image, load_pgm, save_pbm, save_pgm
+from htlab.imagecore import (Rng, constant_image, derive_seed, load_pgm,
+                             save_pbm, save_pgm)
 from htlab.metrics import cssim, ssim
-from htlab.nn import (Adam, CheckpointError, PolicyNetwork, read_checkpoint,
+from htlab.nn import (Adam, CheckpointError, PolicyNetwork,
+                      network_from_checkpoint, read_checkpoint,
                       save_checkpoint)
 
 
@@ -111,6 +113,60 @@ class TestExitCodes:
                          str(tmp_path / "o.pbm"), "--method", "nn"])
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_halftone_without_method_is_usage(self, contone, tmp_path,
+                                              capsys):
+        out = tmp_path / "o.pbm"
+        assert cli.main(["halftone", "--input", contone, "--output",
+                         str(out)]) == 2
+        assert "--method" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["halftone", "eval", "spectra"])
+    def test_oversized_nn_inference_is_data_error(self, tmp_path, command):
+        # 128 channels over a 2048² image: under a 3 GB address-space limit
+        # the first layer's 4.3 GB padded input ends in MemoryError, which
+        # the command reports as a data error naming the image and policy
+        net = PolicyNetwork(channels=128, blocks=0, in_channels=2)
+        net.init_params(Rng(0), std=0.1)
+        ck = tmp_path / "wide.htnn"
+        save_checkpoint(str(ck), net)
+        big = tmp_path / "big"
+        big.mkdir()
+        (big / "img.pgm").write_bytes(b"P5\n2048 2048\n255\n"
+                                      + b"\x80" * 2048 ** 2)
+        source = {"halftone": ["--input", str(big / "img.pgm")],
+                  "eval": ["--contone-dir", str(big)],
+                  "spectra": ["--gray", "0.5", "--size", "2048"]}[command]
+        out = tmp_path / "o.out"
+        done = run_cli_limited([command, "--method", "nn", "--checkpoint",
+                                str(ck), "--output", str(out)] + source,
+                               tmp_path)
+        assert done.returncode == 3, done.stderr
+        assert "2048x2048" in done.stderr and "128" in done.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["halftone", "spectra"])
+    def test_nn_inference_above_a_training_batch_runs(self, tmp_path,
+                                                      command):
+        # 32 channels over a 1025x1024 image exceed rl.MAX_ACTIVATION, the
+        # bound on a training batch; forward-only inference keeps no
+        # activations and needs about 1.2 GB here, within a 3 GB limit
+        net = PolicyNetwork(channels=32, blocks=0, in_channels=2)
+        net.init_params(Rng(0), std=0.1)
+        assert net.channels * 1025 * 1024 > rl.MAX_ACTIVATION
+        ck = tmp_path / "policy.htnn"
+        save_checkpoint(str(ck), net)
+        img = tmp_path / "img.pgm"
+        img.write_bytes(b"P5\n1025 1024\n255\n" + b"\x80" * 1025 * 1024)
+        source = {"halftone": ["--input", str(img)],
+                  "spectra": ["--gray", "0.5", "--size", "1025"]}[command]
+        out = tmp_path / "o.out"
+        done = run_cli_limited([command, "--method", "nn", "--checkpoint",
+                                str(ck), "--output", str(out)] + source,
+                               tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert out.exists()
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert cli.main(["halftone", "--input", str(tmp_path / "gone.pgm"),
@@ -640,18 +696,6 @@ class TestEval:
                          cdir, "--output", out]) == 3
         assert "img0" in capsys.readouterr().err
 
-    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        cdir = self._contones(tmp_path)
-        for method in ("fs", "dbs"):
-            texts = []
-            for threads in ("1", "2"):
-                monkeypatch.setenv("HTLAB_THREADS", threads)
-                out = tmp_path / f"{method}{threads}.csv"
-                assert cli.main(["eval", "--contone-dir", cdir, "--method",
-                                 method, "--output", str(out)]) == 0
-                texts.append(out.read_text())
-            assert texts[0] == texts[1], method
-
     def test_ssim_columns_equal_the_direct_metrics(self, tmp_path):
         cdir = self._contones(tmp_path)
         out = tmp_path / "m.csv"
@@ -664,29 +708,50 @@ class TestEval:
             assert float(row[header.index("ssim")]) == ssim(h, c)[0]
             assert float(row[header.index("cssim")]) == cssim(h, c)[0]
 
-    def test_nn_reads_checkpoint_once_at_any_thread_cap(
-            self, tmp_path, monkeypatch, tiny_checkpoint):
+    def test_nn_reads_checkpoint_once(self, tmp_path, monkeypatch,
+                                      tiny_checkpoint):
         cdir = self._contones(tmp_path)
         reads = []
         real = cli.network_from_checkpoint
         monkeypatch.setattr(cli, "network_from_checkpoint",
                             lambda path: reads.append(path) or real(path))
-        texts = []
-        for threads, name in (("1", "n1.csv"), ("2", "n2.csv")):
-            monkeypatch.setenv("HTLAB_THREADS", threads)
-            out = tmp_path / name
-            assert cli.main(["eval", "--contone-dir", cdir, "--method", "nn",
-                             "--checkpoint", tiny_checkpoint, "--output",
-                             str(out)]) == 0
-            texts.append(out.read_text())
-        assert texts[0] == texts[1]
-        assert reads == [tiny_checkpoint] * 2
+        assert cli.main(["eval", "--contone-dir", cdir, "--method", "nn",
+                         "--checkpoint", tiny_checkpoint, "--output",
+                         str(tmp_path / "m.csv")]) == 0
+        assert reads == [tiny_checkpoint]
 
-    def test_invalid_thread_cap_is_usage(self, tmp_path, monkeypatch):
-        cdir = self._contones(tmp_path, n=1)
-        monkeypatch.setenv("HTLAB_THREADS", "abc")
-        assert cli.main(["eval", "--contone-dir", cdir, "--method", "fs",
-                         "--output", str(tmp_path / "m.csv")]) == 2
+    def test_one_network_serves_images_of_any_size(self, tmp_path,
+                                                   monkeypatch):
+        # a 24², a 40² and a 24² contone in that order: the one network's
+        # workspace switches geometry between every two images
+        net = PolicyNetwork(channels=3, blocks=2, in_channels=2)
+        net.init_params(Rng(4), std=0.5)
+        ck = str(tmp_path / "policy.htnn")
+        save_checkpoint(ck, net)
+        cdir = tmp_path / "c"
+        cdir.mkdir()
+        for seed, (stem, size) in enumerate((("a", 24), ("b", 40),
+                                             ("c", 24))):
+            write_contone(cdir / f"{stem}.pgm", size=size, seed=seed)
+        calls = []
+        real = cli._synthesize
+
+        def spy(c, rng, args, policy):
+            calls.append((c, real(c, rng, args, policy), policy))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cli, "_synthesize", spy)
+        assert cli.main(["eval", "--contone-dir", str(cdir), "--method", "nn",
+                         "--checkpoint", ck, "--seed", "5", "--output",
+                         str(tmp_path / "m.csv")]) == 0
+        assert [c.shape for c, _, _ in calls] == [(24, 24), (40, 40),
+                                                  (24, 24)]
+        assert all(policy is calls[0][2] for _, _, policy in calls)
+        for index, (c, h, _) in enumerate(calls):
+            fresh, _ = network_from_checkpoint(ck)
+            want, _ = rl.infer_halftone(fresh, c,
+                                        Rng(derive_seed(5, index)))
+            assert np.array_equal(h, want), index
 
 
 class TestSpectra:
@@ -706,8 +771,8 @@ class TestSpectra:
                          str(tmp_path / "s.csv")] + extra) == 2
 
     def test_realizations_above_the_bound_exit_usage(self, tmp_path):
-        # under a 3 GB address-space limit: building the task list of 10^9
-        # realizations ends there in MemoryError, exit 4
+        # under a 3 GB address-space limit: without the bound, the curves
+        # of 10^9 realizations would end there in MemoryError, exit 4
         done = run_cli_limited(["spectra", "--gray", "0.5", "--method",
                                 "white", "--realizations", "1000000000",
                                 "--output", str(tmp_path / "s.csv")],

@@ -1,6 +1,6 @@
-"""Repository hygiene: the library imports only what it declares, src
-holds no code that only tests reach, and the CLI's outputs do not depend on
-how many threads BLAS runs.
+"""Repository hygiene: the library imports only what it declares and starts
+no threads, src holds no code that only tests reach, and the CLI's outputs
+do not depend on how many threads BLAS runs.
 
 numpy is htlab's one runtime dependency. scipy and pytest-benchmark may be
 installed next to it, but nothing declares them, so src/ must not use them.
@@ -20,7 +20,10 @@ from test_cli import train_config
 SRC = Path(__file__).resolve().parent.parent / "src" / "htlab"
 BENCHMARK = [SRC.parent.parent / "perfbench" / name
              for name in ("tracer.py", "workloads.py")]
-ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+# the CLI runs one policy network over every image of a command, and a
+# network is not safe to call from two threads at once
+ALLOWED = ((set(sys.stdlib_module_names)
+            - {"threading", "_thread", "concurrent"}) | {"numpy"})
 
 
 def _absolute_imports(tree):

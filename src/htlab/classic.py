@@ -61,28 +61,36 @@ def floyd_steinberg(c, serpentine=False):
 
     Raster scan by default; serpentine reverses odd rows and mirrors the
     kernel. Accumulated value >= 0.5 rounds to white.
+
+    A row is diffused in two passes. A Python loop over plain floats runs
+    the in-row 7/16 carry, the one step that needs the previous pixel's
+    error. The next row then takes its 1/16, 5/16 and 3/16 shares as three
+    shifted vector adds, in the order a pixel-by-pixel scan adds them (from
+    the pixel behind, the one below, the one ahead), so every sum rounds as
+    it would there.
     """
     c = validate_contone(c)
     hgt, wid = c.shape
     acc = c.copy()
-    out = np.zeros_like(acc)
+    out = np.empty_like(acc)
     for y in range(hgt):
-        reverse = serpentine and (y % 2 == 1)
-        xs = range(wid - 1, -1, -1) if reverse else range(wid)
-        ahead = -1 if reverse else 1
-        for x in xs:
-            v = acc[y, x]
-            q = 1.0 if v >= 0.5 else 0.0
-            out[y, x] = q
-            err = v - q
-            if 0 <= x + ahead < wid:
-                acc[y, x + ahead] += err * (7.0 / 16.0)
-            if y + 1 < hgt:
-                if 0 <= x - ahead < wid:
-                    acc[y + 1, x - ahead] += err * (3.0 / 16.0)
-                acc[y + 1, x] += err * (5.0 / 16.0)
-                if 0 <= x + ahead < wid:
-                    acc[y + 1, x + ahead] += err * (1.0 / 16.0)
+        # views in scan order: a serpentine odd row runs right to left
+        step = -1 if serpentine and y % 2 else 1
+        vals = []
+        carry = 0.0
+        for a in acc[y, ::step].tolist():
+            v = a + carry
+            vals.append(v)
+            carry = (v - 1.0 if v >= 0.5 else v) * (7.0 / 16.0)
+        vals = np.array(vals)
+        q = (vals >= 0.5).astype(np.float64)
+        out[y, ::step] = q
+        if y + 1 < hgt:
+            err = vals - q
+            below = acc[y + 1, ::step]
+            below[1:] += err[:-1] * (1.0 / 16.0)
+            below += err * (5.0 / 16.0)
+            below[:-1] += err[1:] * (3.0 / 16.0)
     return out
 
 

@@ -5,31 +5,35 @@ tones in [0, 1]; halftones hold {0.0, 1.0} with 1 = white. All randomness in
 the package flows through Rng below so that a seed pins every downstream byte.
 """
 
+from array import array
+
 import numpy as np
 
 _M64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 _INV53 = 2.0 ** -53
+
+
+def _mix64(z):
+    """splitmix64's output function of a 64-bit state."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
 
 
 def splitmix64(state):
     """Advance a splitmix64 state; returns (new_state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & _M64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    z ^= z >> 31
-    return state, z
+    state = (state + _GAMMA) & _M64
+    return state, _mix64(state)
 
 
 def derive_seed(seed, index):
-    """Child seed for worker/realization `index`, via splitmix64 jumps."""
+    """Child seed for worker/realization `index`: the output of splitmix64
+    step index + 1 from seed. The state after k steps is seed + k * gamma
+    mod 2**64, so the jump costs O(1) whatever the index."""
     if index < 0:
         raise ValueError("index must be non-negative")
-    s = seed & _M64
-    z = 0
-    for _ in range(index + 1):
-        s, z = splitmix64(s)
-    return z
+    return _mix64(((seed & _M64) + (index + 1) * _GAMMA) & _M64)
 
 
 class Rng:
@@ -49,12 +53,18 @@ class Rng:
         self._s = state
 
     def _words(self, n):
-        """The next n raw 64-bit outputs as Python ints."""
+        """The next n raw 64-bit outputs as a uint64 array.
+
+        The Python loop runs only the linear state update and records s0
+        and s3 of each step; the ++ scrambler rotl(s0 + s3, 23) + s0 then
+        runs once over the recorded words, in uint64 arithmetic that wraps
+        modulo 2**64 as the masks of the state update do."""
         s0, s1, s2, s3 = self._s
-        out = [0] * n
+        w0 = array("Q", bytes(8 * n))
+        w3 = array("Q", bytes(8 * n))
         for i in range(n):
-            x = (s0 + s3) & _M64
-            out[i] = ((((x << 23) | (x >> 41)) & _M64) + s0) & _M64
+            w0[i] = s0
+            w3[i] = s3
             t = (s1 << 17) & _M64
             s2 ^= s0
             s3 ^= s1
@@ -63,18 +73,20 @@ class Rng:
             s2 ^= t
             s3 = ((s3 << 45) | (s3 >> 19)) & _M64
         self._s = [s0, s1, s2, s3]
-        return out
+        w0 = np.frombuffer(w0, dtype=np.uint64)
+        x = w0 + np.frombuffer(w3, dtype=np.uint64)
+        return ((x << 23) | (x >> 41)) + w0
 
     def next_uint64(self):
-        return self._words(1)[0]
+        return int(self._words(1)[0])
 
     def uniform(self):
         """One double in [0, 1)."""
-        return (self._words(1)[0] >> 11) * _INV53
+        return (self.next_uint64() >> 11) * _INV53
 
     def uniforms(self, n):
         """n doubles in [0, 1) as a 1-D array."""
-        return (np.array(self._words(n), dtype=np.uint64) >> 11) * _INV53
+        return (self._words(n) >> 11) * _INV53
 
     def gaussians(self, n):
         """n standard normals. Pairs are consumed whole: odd n burns one draw."""

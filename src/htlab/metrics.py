@@ -122,11 +122,18 @@ def _ssim_from_stats(mu_x, sxx, sxy, contone, c1, c2):
 def _window_stats(h, c, cfg):
     """Gaussian-window sums (mu_h, E[h^2], E[hc]), the contone's
     _contone_terms, and its local contrast sigma_c = min(gain * windowed
-    std of c, 1)."""
+    std of c, 1).
+
+    A binary h (0s and 1s) squares to its own bytes, so E[h^2] is then the
+    mu_h array itself, with the bytes a fifth correlation would give."""
     w = _window_weights(cfg.ssim_window, cfg.ssim_sigma)
     contone = _contone_terms(_corr(c, w), _corr(c * c, w))
     sigma_c = np.minimum(cfg.contrast_gain * contone[3], 1.0)
-    return _corr(h, w), _corr(h * h, w), _corr(h * c, w), contone, sigma_c
+    mu_h = _corr(h, w)
+    hh = h * h
+    binary = np.array_equal(hh.view(np.uint64), h.view(np.uint64))
+    shh = mu_h if binary else _corr(hh, w)
+    return mu_h, shh, _corr(h * c, w), contone, sigma_c
 
 
 def _cssim_map(sigma_c, ssim_map):

@@ -13,7 +13,10 @@ kept as the byte-for-byte reference that layout must reproduce.
 delta_cssim_map_per_offset is likewise the CSSIM-delta loop as it stood
 before its per-pixel factors were hoisted out of the offset loop; it shares
 the package's SSIM formula, because the hoisted loop must reproduce it byte
-for byte.
+for byte. floyd_steinberg_per_pixel and xoshiro256pp_words are the
+pixel-by-pixel diffusion and the word-by-word scrambling that
+classic.floyd_steinberg and imagecore.Rng replaced with row and vector
+forms of the same bytes.
 """
 
 import numpy as np
@@ -330,3 +333,66 @@ def exact_gradient_oracle(p, c, cfg=None, level_count=2):
             others = np.prod(np.delete(q, a))
             grad[a] += r * (1.0 if sel[a] == 1.0 else -1.0) * others * inv_delta
     return grad.reshape(p.shape)
+
+
+def floyd_steinberg_per_pixel(c, serpentine=False):
+    """Floyd-Steinberg error diffusion one pixel at a time: each pixel's
+    7/16, 3/16, 5/16 and 1/16 shares are added to the accumulator as soon
+    as it is quantized. Serpentine reverses odd rows and mirrors the
+    kernel; an accumulated value >= 0.5 rounds to white."""
+    hgt, wid = c.shape
+    acc = np.array(c, dtype=np.float64)
+    out = np.zeros_like(acc)
+    for y in range(hgt):
+        reverse = serpentine and (y % 2 == 1)
+        xs = range(wid - 1, -1, -1) if reverse else range(wid)
+        ahead = -1 if reverse else 1
+        for x in xs:
+            v = acc[y, x]
+            q = 1.0 if v >= 0.5 else 0.0
+            out[y, x] = q
+            err = v - q
+            if 0 <= x + ahead < wid:
+                acc[y, x + ahead] += err * (7.0 / 16.0)
+            if y + 1 < hgt:
+                if 0 <= x - ahead < wid:
+                    acc[y + 1, x - ahead] += err * (3.0 / 16.0)
+                acc[y + 1, x] += err * (5.0 / 16.0)
+                if 0 <= x + ahead < wid:
+                    acc[y + 1, x + ahead] += err * (1.0 / 16.0)
+    return out
+
+
+_M64 = (1 << 64) - 1
+
+
+def xoshiro256pp_words(state, n):
+    """(next n xoshiro256++ outputs as Python ints, state after them) from
+    a four-word state, scrambling each word as it is drawn."""
+    s0, s1, s2, s3 = state
+    out = [0] * n
+    for i in range(n):
+        x = (s0 + s3) & _M64
+        out[i] = ((((x << 23) | (x >> 41)) & _M64) + s0) & _M64
+        t = (s1 << 17) & _M64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & _M64
+    return out, (s0, s1, s2, s3)
+
+
+def derive_seed_iterative(seed, index):
+    """The output of splitmix64 step index + 1 from seed, by running every
+    step."""
+    s = seed & _M64
+    z = 0
+    for _ in range(index + 1):
+        s = (s + 0x9E3779B97F4A7C15) & _M64
+        z = s
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        z ^= z >> 31
+    return z

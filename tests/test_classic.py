@@ -94,6 +94,63 @@ class TestFloydSteinberg:
         assert not np.array_equal(floyd_steinberg(c),
                                   floyd_steinberg(c, serpentine=True))
 
+    @pytest.mark.parametrize("serpentine", [False, True])
+    @pytest.mark.parametrize("name", ["1x1", "1x9", "9x1", "7x13", "ties",
+                                      "dyadic", "scene256"])
+    def test_matches_per_pixel_oracle(self, name, serpentine):
+        # the row form adds each pixel's shares in the per-pixel order, so
+        # every accumulator rounds alike and the bytes agree, including
+        # values at exactly 0.5 and errors on the 1/16 lattice
+        rng = Rng(29)
+        c = {"1x1": lambda: np.full((1, 1), 0.5),
+             "1x9": lambda: helpers.random_contone(rng, 1, 9),
+             "9x1": lambda: helpers.random_contone(rng, 9, 1),
+             "7x13": lambda: helpers.random_contone(rng, 7, 13),
+             "ties": lambda: constant_image(0.5, 11, 6),
+             "dyadic": lambda: np.floor(
+                 helpers.random_contone(rng, 12, 15) * 17.0) / 16.0,
+             "scene256": lambda: helpers.natural_crop(size=256, seed=6)}[name]()
+        got = floyd_steinberg(c, serpentine=serpentine)
+        want = oracles.floyd_steinberg_per_pixel(c, serpentine=serpentine)
+        assert got.tobytes() == want.tobytes()
+
+    # 2x3 contones whose pixel (1, 1) lies within a rounding of the 0.5
+    # threshold, found by bisecting c[1, 1] to the oracle's flip point:
+    # adding the three shares from row 0 in any other order flips it
+    ORDER_TIES = [
+        (False, [[0.014271189684610608, 0.6284619478662907,
+                  0.7930236580980341],
+                 [0.5130035828222085, 0.4856115237194855,
+                  0.22642348269714407]]),
+        (False, [[0.33268145921132486, 0.39827555967937056,
+                  0.2029117522135162],
+                 [0.05070405527227051, 0.59089115670778,
+                  0.9154643971239083]]),
+        (False, [[0.3695363106022067, 0.0037342420520759534,
+                  0.8300477298017456],
+                 [0.15446108106143985, 0.3118442888327201,
+                  0.8803321539808286]]),
+        (True, [[0.038985841033045365, 0.5903878678348518,
+                 0.16601115304721703],
+                [0.6778737085673094, 0.4969549966881437,
+                 0.3105701970531949]]),
+        (True, [[0.33866008338021847, 0.31800319786228226,
+                 0.11271699172286997],
+                [0.626611819328121, 0.08048791887539704,
+                 0.3137214720022439]]),
+        (True, [[0.8628092349187347, 0.7971269128461297,
+                 0.12913794147432478],
+                [0.7668591567381553, 0.5070276462237747,
+                 0.19728256983174652]]),
+    ]
+
+    @pytest.mark.parametrize("serpentine, rows", ORDER_TIES)
+    def test_share_order_decides_threshold_ties(self, serpentine, rows):
+        c = np.array(rows)
+        got = floyd_steinberg(c, serpentine=serpentine)
+        want = oracles.floyd_steinberg_per_pixel(c, serpentine=serpentine)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestWhiteNoise:
     def test_mean_tone(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from htlab.imagecore import (NetpbmError, Rng, constant_image, derive_seed,
                              gaussian_noise_map, load_pbm, load_pgm,
                              random_crop, save_pbm, save_pgm, splitmix64,
@@ -117,6 +118,51 @@ class TestRng:
         assert derive_seed(5, 0) != derive_seed(5, 1)
         with pytest.raises(ValueError):
             derive_seed(5, -1)
+
+    def test_derive_seed_matches_iterative_splitmix(self):
+        for seed in (0, 5, 2 ** 63 + 11, 2 ** 64 - 1, 2 ** 64 + 3, 3 ** 50):
+            for index in (0, 1, 2, 7, 64, 1023):
+                assert derive_seed(seed, index) == \
+                    oracles.derive_seed_iterative(seed, index)
+
+    def test_stream_and_state_match_per_word_oracle(self):
+        # every draw kind, interleaved, against xoshiro256++ scrambled one
+        # word at a time; a state handed to set_state_words resumes it
+        r = Rng(2024)
+        state = r.state_words()
+        got, want = [], []
+
+        def oracle(n):
+            nonlocal state
+            words, state = oracles.xoshiro256pp_words(state, n)
+            return words
+
+        def uniforms(n):
+            return [(w >> 11) * 2.0 ** -53 for w in oracle(n)]
+
+        got.append(r.uniform())
+        want += uniforms(1)
+        for n in (0, 1, 7, 10):
+            got += r.uniforms(n).tolist()
+            want += uniforms(n)
+        got += r.gaussians(5).tolist()
+        u = uniforms(6)
+        for k in range(5):
+            u1, u2 = u[k - k % 2], u[k - k % 2 + 1]
+            trig = math.cos if k % 2 == 0 else math.sin
+            want.append(math.sqrt(-2.0 * math.log(1.0 - u1))
+                        * trig(2.0 * math.pi * u2))
+        got.append(r.next_uint64())
+        want += oracle(1)
+        got.append(r.randint(1000))
+        want.append(int(uniforms(1)[0] * 1000))
+        assert r.state_words() == state
+        resumed = Rng(0)
+        resumed.set_state_words(state)
+        got += resumed.uniforms(33).tolist()
+        want += uniforms(33)
+        assert got == want
+        assert resumed.state_words() == state
 
 
 class TestValidation:

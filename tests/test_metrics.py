@@ -14,6 +14,7 @@ import pytest
 
 import helpers
 import oracles
+from htlab import metrics
 from htlab.hvs import HvsConfig, build_gaussian_kernel, build_kernel
 from htlab.imagecore import Rng, constant_image
 from htlab.metrics import (MetricConfig, _delta_cssim_map, cssim, delta_map,
@@ -251,6 +252,28 @@ class TestRewardContext:
         reward_map = -ctx.e ** 2 + SMALL.w_s * ctx.cssim_map
         assert ctx.reward == pytest.approx(float(reward_map.mean()),
                                            abs=1e-13)
+
+    @pytest.mark.parametrize("levels", [2, 3, 4])
+    @pytest.mark.parametrize("shape", [(13, 11), (3, 9, 8)])
+    def test_window_sums_equal_the_five_correlation_form(self, levels,
+                                                         shape):
+        # a binary halftone reuses mu_h for E[h^2]; a multitone one keeps
+        # the fifth correlation; both give the bytes of all five
+        rng = Rng(71)
+        h = np.floor(rng.uniforms(math.prod(shape)).reshape(shape)
+                     * levels) / (levels - 1)
+        c = rng.uniforms(h.size).reshape(shape)
+        cfg = MetricConfig()
+        w = metrics._window_weights(cfg.ssim_window, cfg.ssim_sigma)
+        mu_h, shh, shc, contone, _ = metrics._window_stats(h, c, cfg)
+        want_contone = metrics._contone_terms(metrics._corr(c, w),
+                                              metrics._corr(c * c, w))
+        assert mu_h.tobytes() == metrics._corr(h, w).tobytes()
+        assert shh.tobytes() == metrics._corr(h * h, w).tobytes()
+        assert shc.tobytes() == metrics._corr(h * c, w).tobytes()
+        for got, want in zip(contone, want_contone):
+            assert got.tobytes() == want.tobytes()
+        assert (shh is mu_h) == (levels == 2)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

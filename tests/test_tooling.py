@@ -86,8 +86,6 @@ def _definitions(tree):
 UNREACHED_ON_PURPOSE = {
     "multitone.LevelSet": "the lattice argument of infer_multitone, whose "
                           "callers live outside src",
-    "imagecore.Rng.next_uint64": "the raw xoshiro256++ output, through which "
-                                 "the pinned reference literals are stated",
 }
 
 

@@ -13,9 +13,10 @@ T(a) is the kernel's exact in-image autocorrelation at a: one table per
 edge class, the plain autocorrelation inside the image.
 
 Two things keep a search from repeating work whose result cannot change:
-- The tables are cached across searches, per HvsConfig, and filled only
-  for the edge classes a search meets. A table depends on nothing but the
-  kernel and the class, so a cached one has the bytes of a fresh one.
+- The tables are cached across searches, per HvsConfig and edge class,
+  and built only for the classes a search meets. A table depends on
+  nothing but the kernel and the class, so a cached one has the bytes of
+  a fresh one.
 - A pixel scored with no improving move is clean, and is not scored again
   until an accepted edit changes ce or h at it or at one of its 8
   neighbours (the (2K+1)^2 block around the edit). Its score reads nothing
@@ -27,9 +28,9 @@ import functools
 
 import numpy as np
 
-from .hvs import HvsConfig, convolve_same
+from .hvs import HvsConfig, build_kernel, convolve_same
 from .imagecore import validate_contone, validate_halftone
-from .metrics import _cached_kernel, sse_delta_terms
+from .metrics import sse_delta_terms
 
 # swap neighborhood in fixed evaluation order (after the toggle candidate)
 _MOVES = [(-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1)]  # N NE E SE S SW W NW
@@ -122,33 +123,26 @@ def edge_autocorrelation(k, top, bottom, left, right):
     return np.einsum("pqij,ij->pq", windows, k)
 
 
-@functools.lru_cache(maxsize=32)
-def _edge_tables(hvs_cfg):
-    """The edge-class tables of one HvsConfig's kernel, kept across
-    searches: a dict that _edge_class fills as searches meet each class."""
-    return {}
-
-
+# 4096 entries hold all 6^4 classes an 11-tap kernel can meet, over any
+# image sizes, for three configs; a search past the bound still keeps its
+# own classes
+@functools.lru_cache(maxsize=4096)
 def _edge_class(hvs_cfg, key):
     """(T, swaps) of edge class key = (top, bottom, left, right), the reach
     of a pixel's window past each image edge clipped at max(K // 2, 1): T is
     the read-only edge_autocorrelation table and swaps the (dy, dx, cross
     term) of each swap neighbour inside the image. A reach of 1 also tells
     which swap neighbours exist when the kernel is 1x1."""
-    tables = _edge_tables(hvs_cfg)
-    entry = tables.get(key)
-    if entry is None:
-        k = _cached_kernel(hvs_cfg).weights
-        half = k.shape[0] // 2
-        span = 2 * half
-        t = edge_autocorrelation(k, *(min(r, half) for r in key))
-        t.flags.writeable = False
-        # a 1x1 kernel has no cross terms
-        swaps = tuple((dy, dx, float(t[span + dy, span + dx]) if span else 0.0)
-                      for dy, dx in _MOVES
-                      if -key[0] <= dy <= key[1] and -key[2] <= dx <= key[3])
-        entry = tables[key] = (t, swaps)
-    return entry
+    k = build_kernel(hvs_cfg)
+    half = k.shape[0] // 2
+    span = 2 * half
+    t = edge_autocorrelation(k, *(min(r, half) for r in key))
+    t.flags.writeable = False
+    # a 1x1 kernel has no cross terms
+    swaps = tuple((dy, dx, float(t[span + dy, span + dx]) if span else 0.0)
+                  for dy, dx in _MOVES
+                  if -key[0] <= dy <= key[1] and -key[2] <= dx <= key[3])
+    return t, swaps
 
 
 def dbs_search(c, rng=None, hvs_cfg=None, seed_halftone=None, max_sweeps=20):
@@ -173,8 +167,8 @@ def dbs_search(c, rng=None, hvs_cfg=None, seed_halftone=None, max_sweeps=20):
         if h.shape != c.shape:
             raise ValueError("seed halftone shape mismatch")
     hvs_cfg = hvs_cfg or HvsConfig()
-    kernel = _cached_kernel(hvs_cfg)
-    half = kernel.size // 2
+    kernel = build_kernel(hvs_cfg)
+    half = kernel.shape[0] // 2
     span = 2 * half
     win = 2 * span + 1           # an edit's (2K-1)^2 window in ce
     hgt, wid = c.shape

@@ -261,15 +261,21 @@ def load_train_config(path):
     return cfg
 
 
-def load_dataset(directory, crop_size):
+def _pgm_names(directory, role):
+    """Sorted .pgm file names in the role's directory; a missing directory
+    or one without a .pgm image is a DataError."""
     if not os.path.isdir(directory):
-        raise DataError(f"dataset directory {directory!r} does not exist")
+        raise DataError(f"{role} directory {directory!r} does not exist")
     names = sorted(n for n in os.listdir(directory) if n.endswith(".pgm"))
     if not names:
-        raise DataError(f"dataset directory {directory!r} holds no .pgm "
+        raise DataError(f"{role} directory {directory!r} holds no .pgm "
                         f"images")
+    return names
+
+
+def load_dataset(directory, crop_size):
     images = []
-    for name in names:
+    for name in _pgm_names(directory, "dataset"):
         img = load_pgm(os.path.join(directory, name))
         if img.shape[0] < crop_size or img.shape[1] < crop_size:
             raise DataError(f"dataset image {name} is {img.shape[1]}x"
@@ -359,13 +365,7 @@ def cmd_eval(args, argv):
     if bool(args.halftone_dir) == bool(args.method):
         raise UsageError("give exactly one of --halftone-dir or --method")
     _check_synthesis_flags(args)
-    if not os.path.isdir(args.contone_dir):
-        raise DataError(f"contone directory {args.contone_dir!r} does not "
-                        f"exist")
-    names = sorted(n for n in os.listdir(args.contone_dir)
-                   if n.endswith(".pgm"))
-    if not names:
-        raise DataError(f"no .pgm images in {args.contone_dir!r}")
+    names = _pgm_names(args.contone_dir, "contone")
     policy = _load_policy(args)
     rows = [_eval_one(os.path.splitext(name)[0],
                       os.path.join(args.contone_dir, name), args, i, policy)

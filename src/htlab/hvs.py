@@ -9,9 +9,14 @@ kernel window, which the error-diffusion-free optimizers and the estimator
 toggle algebra rely on. It adds the K^2 weighted shifted slices of one
 zero-padded array in a fixed order and calls no BLAS, so its bytes do not
 depend on the thread count or on whether an image comes alone or stacked.
+
+A kernel is a plain (K, K) float64 array. Each builder caches its kernels,
+so every caller of one configuration shares one array; the arrays are
+read-only, so copy one before editing it.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,21 +26,6 @@ NASANEN_CONSTANTS = {"a": 131.6, "b": 0.3188, "c": 0.525, "d": 3.91,
                      "luminance": 11.0}
 # the DFT lattice a Nasanen kernel is sampled on bounds both kernel families
 _NASANEN_GRID = 128
-
-
-@dataclass(frozen=True)
-class HvsKernel:
-    """Odd square spatial kernel with unit coefficient sum."""
-    size: int
-    weights: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (self.size, self.size):
-            raise ValueError("kernel weights must be size x size")
-        if self.size % 2 != 1 or self.size < 1:
-            raise ValueError("kernel size must be odd and positive")
-        object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)
@@ -55,6 +45,14 @@ def build_kernel(cfg):
     raise ValueError(f"unknown HVS model {cfg.model!r}")
 
 
+def _unit_sum(k):
+    """k scaled to sum 1, read-only."""
+    k = k / k.sum()
+    k.flags.writeable = False
+    return k
+
+
+@functools.lru_cache(maxsize=32)
 def build_gaussian_kernel(size, sigma):
     """Sampled isotropic Gaussian, truncated to size x size, sum 1."""
     if size % 2 != 1 or not 1 <= size <= _NASANEN_GRID:
@@ -64,8 +62,7 @@ def build_gaussian_kernel(size, sigma):
     half = size // 2
     x = np.arange(-half, half + 1, dtype=np.float64)
     g1 = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    k = np.outer(g1, g1)
-    return HvsKernel(size, k / k.sum())
+    return _unit_sum(np.outer(g1, g1))
 
 
 def nasanen_frequency_response(f_cpd):
@@ -84,6 +81,7 @@ def _cpd_grid(n, scale):
     return rho * np.pi * scale / 180.0
 
 
+@functools.lru_cache(maxsize=32)
 def build_nasanen_kernel(size, scale):
     """Nasanen kernel: frequency-domain sampling, inverse DFT, truncation.
 
@@ -101,13 +99,8 @@ def build_nasanen_kernel(size, scale):
     spatial = np.fft.fftshift(spatial)
     half = size // 2
     mid = _NASANEN_GRID // 2
-    k = spatial[mid - half:mid + half + 1, mid - half:mid + half + 1].copy()
-    return HvsKernel(size, k / k.sum())
-
-
-def _weights(kernel):
-    return kernel.weights if isinstance(kernel, HvsKernel) else np.asarray(
-        kernel, dtype=np.float64)
+    return _unit_sum(spatial[mid - half:mid + half + 1,
+                             mid - half:mid + half + 1].copy())
 
 
 def convolve_same(img, kernel):
@@ -115,10 +108,10 @@ def convolve_same(img, kernel):
     axes; leading axes are a batch. Every pixel sums its taps in row-major
     order, so a stack gives each image the bytes it gets alone."""
     img = np.asarray(img, dtype=np.float64)
-    w = _weights(kernel)
-    k = w.shape[0]
-    if w.ndim != 2 or w.shape[0] != w.shape[1] or k % 2 != 1:
+    w = np.asarray(kernel, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] % 2 != 1:
         raise ValueError("kernel must be odd and square")
+    k = w.shape[0]
     half = k // 2
     rows, cols = img.shape[-2:]
     # convolution flips the kernel; every built-in kernel is centro-symmetric
@@ -135,5 +128,5 @@ def convolve_same(img, kernel):
 
 
 def dump_kernel_csv(kernel, path):
-    np.savetxt(path, _weights(kernel), delimiter=",", fmt="%.17g")
+    np.savetxt(path, kernel, delimiter=",", fmt="%.17g")
 

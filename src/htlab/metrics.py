@@ -17,14 +17,12 @@ from sse_delta_terms, the same two maps DBS scores its moves with, and the
 CSSIM term by one pass per SSIM window offset.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import hvs
-from .hvs import HvsConfig, convolve_same
+from .hvs import HvsConfig, build_gaussian_kernel, build_kernel, convolve_same
 
 
 @dataclass(frozen=True)
@@ -36,16 +34,6 @@ class MetricConfig:
     c2: float = 0.03 ** 2
     contrast_gain: float = 2.0
     hvs: HvsConfig = field(default_factory=HvsConfig)
-
-
-@functools.lru_cache(maxsize=32)
-def _cached_kernel(hvs_cfg):
-    return hvs.build_kernel(hvs_cfg)
-
-
-@functools.lru_cache(maxsize=32)
-def _window_weights(size, sigma):
-    return hvs.build_gaussian_kernel(size, sigma).weights
 
 
 def _corr_stencil(kernel_weights):
@@ -64,7 +52,7 @@ def region_mask(shape, cfg, region):
         return np.ones(shape, dtype=bool)
     if region != "valid":
         raise ValueError(f"unknown region {region!r}")
-    margin = max(_cached_kernel(cfg.hvs).size // 2, cfg.ssim_window // 2)
+    margin = max(build_kernel(cfg.hvs).shape[0] // 2, cfg.ssim_window // 2)
     mask = np.zeros(shape, dtype=bool)
     if shape[0] > 2 * margin and shape[1] > 2 * margin:
         mask[margin:shape[0] - margin, margin:shape[1] - margin] = True
@@ -80,7 +68,7 @@ def _region_mean(values, cfg, region):
 def hvs_mse(h, c, cfg=None, region="valid"):
     """Mean squared error between HVS-filtered halftone and contone."""
     cfg = cfg or MetricConfig()
-    k = _cached_kernel(cfg.hvs)
+    k = build_kernel(cfg.hvs)
     return _region_mean((convolve_same(h, k) - convolve_same(c, k)) ** 2,
                         cfg, region)
 
@@ -126,7 +114,7 @@ def _window_stats(h, c, cfg):
 
     A binary h (0s and 1s) squares to its own bytes, so E[h^2] is then the
     mu_h array itself, with the bytes a fifth correlation would give."""
-    w = _window_weights(cfg.ssim_window, cfg.ssim_sigma)
+    w = build_gaussian_kernel(cfg.ssim_window, cfg.ssim_sigma)
     contone = _contone_terms(_corr(c, w), _corr(c * c, w))
     sigma_c = np.minimum(cfg.contrast_gain * contone[3], 1.0)
     mu_h = _corr(h, w)
@@ -169,7 +157,7 @@ def sse_delta_terms(e, kernel):
     error: h[a] += d changes sum(e^2) by 2 d ce[a] + d^2 k2[a], where e is
     the filtered error, ce = corr(e, K) and k2[a] = sum_j K[j - a]^2 over
     in-image j. A stack of error maps shares one k2."""
-    kf = _corr_stencil(kernel.weights)
+    kf = _corr_stencil(kernel)
     return convolve_same(e, kf), convolve_same(np.ones(e.shape[-2:]), kf * kf)
 
 
@@ -189,8 +177,8 @@ class RewardContext:
         self.h = np.asarray(h, dtype=np.float64).copy()
         if self.c.shape != self.h.shape:
             raise ValueError("halftone and contone shapes differ")
-        self.kernel = _cached_kernel(cfg.hvs)
-        self.w = _window_weights(cfg.ssim_window, cfg.ssim_sigma)
+        self.kernel = build_kernel(cfg.hvs)
+        self.w = build_gaussian_kernel(cfg.ssim_window, cfg.ssim_sigma)
         self.e = (convolve_same(self.h, self.kernel)
                   - convolve_same(self.c, self.kernel))
         (self.mu_h, self.shh, self.shc, self.contone,

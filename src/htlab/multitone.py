@@ -8,31 +8,10 @@ sampling, the estimators and inference all live in `rl` and take a
 degenerates to floor = 0, ceil = 1 and upper mass = v.
 """
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from . import rl
 
 
-@dataclass(frozen=True)
-class LevelSet:
-    """Uniform output lattice i/(L-1), i = 0..L-1."""
-    count: int
-
-    def __post_init__(self):
-        if self.count < 2:
-            raise ValueError("a level set needs at least 2 levels")
-
-    @property
-    def delta(self):
-        return 1.0 / (self.count - 1)
-
-    @property
-    def values(self):
-        return np.arange(self.count) / (self.count - 1)
-
-
-def infer_multitone(net, c, levels, rng):
-    """Run the policy once and round to the lattice. Returns (m, v)."""
-    return rl.infer_halftone(net, c, rng, level_count=levels.count)
+def infer_multitone(net, c, level_count, rng):
+    """Run the policy once and round to the lattice of level_count levels.
+    Returns (m, v)."""
+    return rl.infer_halftone(net, c, rng, level_count=level_count)

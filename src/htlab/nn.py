@@ -29,9 +29,7 @@ A forward-only call (train=False, as inference runs) keeps nothing for
 backward: its padded inputs are workspace scratch too, and backward must
 wait for the next training forward. A workspace holds one input geometry
 at a time. Arrays handed to callers are always fresh copies, never views
-of scratch. A standalone Conv2d owns its workspace, and a deep copy of a
-network gets an empty one, so threads that each run their own copy share
-nothing; one network is not safe to call from two threads at once.
+of scratch. A standalone Conv2d owns its workspace.
 
 Gradients are exact analytic transposes of the forward ops; training injects
 an upstream dL/dp at the sigmoid output and backpropagates to every weight.
@@ -63,16 +61,12 @@ class Workspace:
     so every layer of a network can share one set. Arrays are keyed by role
     and shape and allocated zero-filled once; only those of the latest
     input geometry (B, H, W) are kept, which bounds the memory to one
-    geometry's worth. A deep copy starts empty, so a copied network never
-    shares scratch with its original.
+    geometry's worth.
     """
 
     def __init__(self):
         self._geometry = None
         self._arrays = {}
-
-    def __deepcopy__(self, memo):
-        return Workspace()
 
     def get(self, geometry, role, shape):
         """The array for (role, shape), zero-filled when first allocated;

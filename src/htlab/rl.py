@@ -41,9 +41,12 @@ ESTIMATORS = ("reinforce", "reinforce_meanbaseline", "coma",
 def _cast_two_point(values, level_count):
     """Two nearest lattice levels around each value and the upper-level mass.
 
-    Levels are i/(L-1). On-lattice values collapse to a single support point
-    with zero upper mass. For L=2 this reduces bitwise to (0, 1, values).
+    Levels are i/(L-1), L >= 2. On-lattice values collapse to a single
+    support point with zero upper mass. For L=2 this reduces bitwise to
+    (0, 1, values).
     """
+    if level_count < 2:
+        raise ValueError("a lattice needs at least 2 levels")
     v = np.asarray(values, dtype=np.float64)
     if np.any(v < 0.0) or np.any(v > 1.0):
         raise ValueError("values outside [0, 1]")

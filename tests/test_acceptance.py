@@ -35,7 +35,7 @@ from htlab.hvs import HvsConfig
 from htlab.imagecore import Rng, constant_image, save_pgm
 from htlab.metrics import MetricConfig, cssim, delta_map, hvs_mse, psnr, ssim
 from htlab.metrics import reward as build_reward
-from htlab.multitone import LevelSet, infer_multitone
+from htlab.multitone import infer_multitone
 from htlab.nn import Conv2d, PolicyNetwork
 from htlab.rl import (TrainConfig, coma_signal, infer_halftone, le_signal,
                       reinforce_signal, sample_actions, train_loop)
@@ -395,10 +395,9 @@ def test_criterion_7_flat_region_structural_score():
 def test_criterion_8_multitone_reduction():
     # L=2 sampling is byte-identical to Bernoulli draws u < v, and leaves
     # the generator in the identical state
-    two = LevelSet(2)
     v = helpers.random_contone(Rng(8000), 8, 8)
     rng_a, rng_b = Rng(8001), Rng(8001)
-    m_multi = sample_actions(v, rng_a, level_count=two.count)
+    m_multi = sample_actions(v, rng_a, level_count=2)
     m_binary = (rng_b.uniforms(v.size).reshape(v.shape) < v).astype(
         np.float64)
     assert m_multi.tobytes() == m_binary.tobytes()
@@ -408,24 +407,22 @@ def test_criterion_8_multitone_reduction():
     net = PolicyNetwork(channels=2, blocks=0)
     net.init_params(Rng(8002), std=0.5)
     c = helpers.natural_crop(16, seed=3)
-    m_inferred, p_inferred = infer_multitone(net, c, two, Rng(8003))
+    m_inferred, p_inferred = infer_multitone(net, c, 2, Rng(8003))
     h_inferred, _ = infer_halftone(net, c, Rng(8003))
     assert m_inferred.tobytes() == h_inferred.tobytes()
     assert m_inferred.tobytes() == (p_inferred >= 0.5).astype(
         np.float64).tobytes()
 
     # L=3 local-expectation unbiasedness on the criterion-1 instance grid
-    three = LevelSet(3)
     worst = 0.0
     for p, c, cfg in _instance_grid(8100):
-        floor_vals, ceil_vals, p_ceil = rl._cast_two_point(p, three.count)
+        floor_vals, ceil_vals, p_ceil = rl._cast_two_point(p, 3)
         total = np.zeros_like(p)
         for sel in oracles.enumerate_bit_maps(p.shape):
             m = np.where(sel == 1.0, ceil_vals, floor_vals)
             weight = float(np.prod(np.where(sel == 1.0, p_ceil,
                                             1.0 - p_ceil)))
-            total += weight * le_signal(build_reward(m, c, cfg), p,
-                                        three.count)
+            total += weight * le_signal(build_reward(m, c, cfg), p, 3)
         want = -exact_gradient_oracle(p, c, cfg, level_count=3)
         worst = max(worst, float(np.max(np.abs(total - want))))
     assert worst <= 1e-9, f"worst three-level estimator bias {worst:.3e}"

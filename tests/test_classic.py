@@ -176,7 +176,7 @@ SMALL_HVS = HvsConfig(model="gaussian", size=3, sigma=1.0)
 
 
 def sse_brute(h, c):
-    k = build_kernel(SMALL_HVS).weights
+    k = build_kernel(SMALL_HVS)
     e = oracles.conv2d_same_brute(h, k) - oracles.conv2d_same_brute(c, k)
     return float(np.sum(e * e))
 
@@ -190,7 +190,7 @@ def assert_matches_oracle(c, cfg, seed, max_sweeps=20):
     the same halftone byte for byte, the same trace rows to 1e-12."""
     h, trace = dbs_search(c, hvs_cfg=cfg, seed_halftone=seed,
                           max_sweeps=max_sweeps)
-    want_h, want_trace = oracles.dbs_brute(c, seed, build_kernel(cfg).weights,
+    want_h, want_trace = oracles.dbs_brute(c, seed, build_kernel(cfg),
                                            max_sweeps=max_sweeps)
     assert h.tobytes() == want_h.tobytes()
     assert [row[0] for row in trace] == [row[0] for row in want_trace]
@@ -341,7 +341,7 @@ class TestDbs:
         (SMALL_HVS, 1, 3),
     ])
     def test_edge_tables_match_in_image_sums(self, cfg, hgt, wid):
-        k = build_kernel(cfg).weights
+        k = build_kernel(cfg)
         half = k.shape[0] // 2
         for y in range(hgt):
             for x in range(wid):
@@ -417,7 +417,7 @@ class TestDbsLayout:
         narrow = HvsConfig(model="gaussian", size=5, sigma=0.8)
         c = helpers.natural_crop(size=12, seed=5)
         seed = white_noise_threshold(c, Rng(43))
-        classic._edge_tables.cache_clear()
+        classic._edge_class.cache_clear()
         fresh = {}
         for cfg in (narrow, GAUSS5, narrow, GAUSS5):
             trace = assert_matches_oracle(c, cfg, seed)
@@ -425,11 +425,17 @@ class TestDbsLayout:
         assert fresh[narrow] != fresh[GAUSS5]
 
     def test_cached_tables_are_read_only(self):
+        # an 8x8 image and a 5-tap kernel meet 5 row and 5 column classes:
+        # reach (0, 2), (1, 2), (2, 2), (2, 1) and (2, 0)
         c = helpers.natural_crop(size=8, seed=6)
+        classic._edge_class.cache_clear()
         dbs_search(c, rng=Rng(47), hvs_cfg=GAUSS5)
-        tables = classic._edge_tables(GAUSS5)
-        assert tables
-        for t, _ in tables.values():
-            assert not t.flags.writeable
-            with pytest.raises(ValueError):
-                t[0, 0] = 1.0
+        assert classic._edge_class.cache_info().misses == 25
+        reaches = [(0, 2), (1, 2), (2, 2), (2, 1), (2, 0)]
+        for rows in reaches:
+            for cols in reaches:
+                t, _ = classic._edge_class(GAUSS5, rows + cols)
+                assert not t.flags.writeable
+                with pytest.raises(ValueError):
+                    t[0, 0] = 1.0
+        assert classic._edge_class.cache_info().misses == 25

@@ -858,7 +858,7 @@ class TestDumpKernel:
                          "7", "--sigma", "1.3", "--output", str(out)]) == 0
         loaded = np.loadtxt(out, delimiter=",", ndmin=2)
         want = build_kernel(HvsConfig(model="gaussian", size=7, sigma=1.3))
-        assert np.array_equal(loaded, want.weights)
+        assert np.array_equal(loaded, want)
 
     def test_bad_size_is_usage(self, tmp_path):
         assert cli.main(["dump-kernel", "--size", "4", "--output",

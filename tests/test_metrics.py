@@ -102,7 +102,7 @@ class TestHvsMse:
         rng = Rng(11)
         c = helpers.random_contone(rng, 10, 12)
         h = helpers.random_halftone(rng, 10, 12)
-        k = build_kernel(SMALL.hvs).weights
+        k = build_kernel(SMALL.hvs)
         e = (oracles.conv2d_same_brute(h, k)
              - oracles.conv2d_same_brute(c, k))
         for region in ("full", "valid"):
@@ -152,7 +152,7 @@ class TestSsim:
         rng = Rng(23)
         x = helpers.random_contone(rng, 8, 8)
         y = helpers.random_halftone(rng, 8, 8)
-        w = build_gaussian_kernel(SMALL.ssim_window, SMALL.ssim_sigma).weights
+        w = build_gaussian_kernel(SMALL.ssim_window, SMALL.ssim_sigma)
         want = oracles.ssim_map_brute(x, y, w, SMALL.c1, SMALL.c2)
         _, s_map = ssim(x, y, SMALL, region="full")
         assert np.max(np.abs(s_map - want)) < 1e-12
@@ -191,7 +191,7 @@ class TestContrastMap:
     def test_matches_brute_oracle(self):
         rng = Rng(31)
         c = helpers.random_contone(rng, 8, 9)
-        w = build_gaussian_kernel(SMALL.ssim_window, SMALL.ssim_sigma).weights
+        w = build_gaussian_kernel(SMALL.ssim_window, SMALL.ssim_sigma)
         want = oracles.contrast_map_brute(c, w, SMALL.contrast_gain)
         assert np.max(np.abs(contrast_map(c, SMALL) - want)) < 1e-12
 
@@ -236,8 +236,8 @@ class TestRewardContext:
         rng = Rng(41)
         c = helpers.random_contone(rng, 9, 9)
         h = helpers.random_halftone(rng, 9, 9)
-        k = build_kernel(SMALL.hvs).weights
-        w = build_gaussian_kernel(SMALL.ssim_window, SMALL.ssim_sigma).weights
+        k = build_kernel(SMALL.hvs)
+        w = build_gaussian_kernel(SMALL.ssim_window, SMALL.ssim_sigma)
         for w_s in (0.0, 0.06):
             cfg = small_cfg(w_s)
             want = oracles.reward_brute(h, c, k, w, w_s, cfg.c1, cfg.c2,
@@ -264,7 +264,7 @@ class TestRewardContext:
                      * levels) / (levels - 1)
         c = rng.uniforms(h.size).reshape(shape)
         cfg = MetricConfig()
-        w = metrics._window_weights(cfg.ssim_window, cfg.ssim_sigma)
+        w = build_gaussian_kernel(cfg.ssim_window, cfg.ssim_sigma)
         mu_h, shh, shc, contone, _ = metrics._window_stats(h, c, cfg)
         want_contone = metrics._contone_terms(metrics._corr(c, w),
                                               metrics._corr(c * c, w))

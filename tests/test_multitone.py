@@ -18,7 +18,7 @@ from htlab.hvs import HvsConfig
 from htlab.imagecore import Rng
 from htlab.metrics import MetricConfig
 from htlab.metrics import reward as build_reward
-from htlab.multitone import LevelSet, infer_multitone
+from htlab.multitone import infer_multitone
 from htlab.nn import PolicyNetwork
 from htlab.rl import infer_halftone, le_signal, sample_actions
 from oracles import exact_gradient_oracle
@@ -41,38 +41,32 @@ class FixedPolicy:
 def rounded(v, count):
     """Inference's lattice rounding applied to the value map v."""
     v = np.asarray(v, dtype=np.float64)
-    m, _ = infer_multitone(FixedPolicy(v), np.zeros_like(v), LevelSet(count),
-                           Rng(0))
+    m, _ = infer_multitone(FixedPolicy(v), np.zeros_like(v), count, Rng(0))
     return m
 
 
-class TestLevelSet:
-    def test_literals(self):
-        five = LevelSet(5)
-        assert five.delta == 0.25
-        assert five.values.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
-        two = LevelSet(2)
-        assert two.delta == 1.0
-        assert two.values.tolist() == [0.0, 1.0]
-
-    def test_needs_two_levels(self):
-        with pytest.raises(ValueError):
-            LevelSet(1)
+@pytest.mark.parametrize("level_count", [1, 0])
+def test_a_lattice_needs_two_levels(level_count):
+    v = np.full((2, 2), 0.5)
+    with pytest.raises(ValueError, match="at least 2 levels"):
+        rl._cast_two_point(v, level_count)
+    with pytest.raises(ValueError, match="at least 2 levels"):
+        sample_actions(v, Rng(0), level_count)
+    with pytest.raises(ValueError, match="at least 2 levels"):
+        infer_multitone(FixedPolicy(v), v, level_count, Rng(0))
 
 
 class TestCast:
     def test_expectation_preserved(self):
         v = helpers.random_contone(Rng(3), 8, 8)
-        levels = LevelSet(5)
-        floor_vals, ceil_vals, p_ceil = rl._cast_two_point(v, levels.count)
+        floor_vals, ceil_vals, p_ceil = rl._cast_two_point(v, 5)
         mean = floor_vals * (1.0 - p_ceil) + ceil_vals * p_ceil
         assert np.max(np.abs(mean - v)) < 1e-12
-        assert np.all(ceil_vals - floor_vals <= levels.delta + 1e-15)
+        assert np.all(ceil_vals - floor_vals <= 0.25 + 1e-15)
 
     def test_on_lattice_collapse(self):
-        levels = LevelSet(3)
         floor_vals, ceil_vals, p_ceil = rl._cast_two_point(
-            np.array([[0.5, 1.0, 0.0]]), levels.count)
+            np.array([[0.5, 1.0, 0.0]]), 3)
         assert floor_vals.tolist() == [[0.5, 1.0, 0.0]]
         assert ceil_vals.tolist() == [[0.5, 1.0, 0.0]]
         assert p_ceil.tolist() == [[0.0, 0.0, 0.0]]
@@ -99,10 +93,9 @@ class TestSampling:
         assert r1.state_words() == r2.state_words()
 
     def test_samples_live_on_adjacent_levels(self):
-        levels = LevelSet(4)
         v = helpers.random_contone(Rng(11), 10, 10)
-        m = sample_actions(v, Rng(13), levels.count)
-        floor_vals, ceil_vals, _ = rl._cast_two_point(v, levels.count)
+        m = sample_actions(v, Rng(13), 4)
+        floor_vals, ceil_vals, _ = rl._cast_two_point(v, 4)
         assert np.all((m == floor_vals) | (m == ceil_vals))
 
     def test_mean_converges_to_value(self):
@@ -119,19 +112,17 @@ class TestSampling:
 class TestUnbiasedness:
     def test_le_signal_unbiased_on_three_levels(self):
         rng = Rng(23)
-        levels = LevelSet(3)
         # strictly off-lattice values so every pixel has two support points
         v = 0.05 + 0.4 * helpers.random_contone(rng, 2, 2)
         c = helpers.random_contone(rng, 2, 2)
-        floor_vals, ceil_vals, p_ceil = rl._cast_two_point(v, levels.count)
+        floor_vals, ceil_vals, p_ceil = rl._cast_two_point(v, 3)
 
         total = np.zeros_like(v)
         for sel in oracles.enumerate_bit_maps((2, 2)):
             m = np.where(sel == 1.0, ceil_vals, floor_vals)
             weight = float(np.prod(np.where(sel == 1.0, p_ceil,
                                             1.0 - p_ceil)))
-            total += weight * le_signal(build_reward(m, c, SMALL), v,
-                                        levels.count)
+            total += weight * le_signal(build_reward(m, c, SMALL), v, 3)
         want = -exact_gradient_oracle(v, c, SMALL, level_count=3)
         assert np.max(np.abs(total - want)) < 1e-9
 
@@ -171,19 +162,18 @@ class TestInference:
     def test_output_on_lattice_and_deterministic(self):
         net = self._net()
         c = helpers.natural_crop(size=10, seed=3)
-        levels = LevelSet(4)
-        m1, v1 = infer_multitone(net, c, levels, Rng(5))
-        m2, v2 = infer_multitone(net, c, levels, Rng(5))
+        m1, v1 = infer_multitone(net, c, 4, Rng(5))
+        m2, v2 = infer_multitone(net, c, 4, Rng(5))
         assert np.array_equal(m1, m2)
         assert np.array_equal(v1, v2)
-        assert np.all(np.isin(m1, levels.values))
-        assert np.all(np.abs(m1 - v1) <= levels.delta / 2)
+        assert np.all(np.isin(m1, np.arange(4) / 3))
+        assert np.all(np.abs(m1 - v1) <= 1.0 / 6.0)
         assert np.array_equal(m1, rounded(v1, 4))
 
     def test_binary_inference_matches_halftone_path(self):
         net = self._net()
         c = helpers.natural_crop(size=8, seed=9)
-        m, v = infer_multitone(net, c, LevelSet(2), Rng(7))
+        m, v = infer_multitone(net, c, 2, Rng(7))
         h, p = infer_halftone(net, c, Rng(7))
         assert np.array_equal(m, h)
         assert np.array_equal(v, p)

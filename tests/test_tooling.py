@@ -83,10 +83,7 @@ def _definitions(tree):
 
 # definitions that nothing in src or the benchmark calls, kept on purpose:
 # "module.name" or "module.Class.method" -> why
-UNREACHED_ON_PURPOSE = {
-    "multitone.LevelSet": "the lattice argument of infer_multitone, whose "
-                          "callers live outside src",
-}
+UNREACHED_ON_PURPOSE = {}
 
 
 def test_every_src_definition_is_reached_from_src_or_the_benchmark():

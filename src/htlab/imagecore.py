@@ -5,6 +5,7 @@ tones in [0, 1]; halftones hold {0.0, 1.0} with 1 = white. All randomness in
 the package flows through Rng below so that a seed pins every downstream byte.
 """
 
+import functools
 from array import array
 
 import numpy as np
@@ -36,6 +37,97 @@ def derive_seed(seed, index):
     return _mix64(((seed & _M64) + (index + 1) * _GAMMA) & _M64)
 
 
+# Requests of at least this many words are drawn as lanes (Rng._lane_words);
+# below it the one-generator loop is faster. Measured crossover, see README.
+_LANE_MIN_WORDS = 1536
+# bit offsets of the 16 nibbles of a state word, low nibble first
+_NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)
+_NIBBLES = np.arange(64)
+
+
+def _steps(s0, s1, s2, s3, w0, w3):
+    """Run len(w0) xoshiro256++ state updates from (s0, s1, s2, s3),
+    recording s0 and s3 before the i-th at w0[i] and w3[i]; returns the
+    state after them.
+
+    This is the one definition of the update. It steps one generator on
+    Python ints, and many lanes at once on uint64 arrays (w0[i] is then a
+    row with one word per lane), whose arithmetic wraps modulo 2**64 as
+    the masks do for ints. It updates array arguments in place."""
+    for i in range(len(w0)):
+        w0[i] = s0
+        w3[i] = s3
+        t = (s1 << 17) & _M64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & _M64
+    return s0, s1, s2, s3
+
+
+def _scramble(w0, w3):
+    """The ++ output rotl(s0 + s3, 23) + s0 of recorded uint64 words,
+    computed in w3's memory."""
+    x = np.add(w0, w3, out=w3)
+    high = x >> np.uint64(41)
+    x <<= np.uint64(23)
+    x |= high
+    x += w0
+    return x
+
+
+def _jump(table, lanes):
+    """A GF(2) matrix applied to each lane: table is (4, 256), its column
+    b the image of the state with only bit b set (bit b is bit b % 64 of
+    word b // 64), and lanes is (4, l), one state per column. Returns the
+    (4, l) images.
+
+    The product XORs the table columns of each lane's set bits, 4 bits at
+    a time: part[v, q] is the XOR of the columns of the bits set in v
+    among bits 4q..4q+3, so each lane takes one part row per nibble of its
+    state and XORs 64 of them. Lanes go 64 at a time, so that the gather
+    is 128 KiB whatever their number: a larger one, once freed, stays
+    resident in glibc's heap and shows in the process's peak RSS."""
+    cols = table.T.reshape(64, 4, 4)
+    part = np.empty((16, 64, 4), dtype=np.uint64)
+    part[0] = 0
+    for t in range(4):
+        np.bitwise_xor(part[:1 << t], cols[:, t], out=part[1 << t:2 << t])
+    part = part.reshape(-1, 4)
+    out = np.empty(lanes.shape, dtype=np.uint64)
+    for start in range(0, lanes.shape[1], 64):
+        chunk = lanes[:, start:start + 64]
+        nibble = (chunk.T[:, :, None] >> _NIBBLE_SHIFTS) & np.uint64(15)
+        rows = nibble.reshape(-1, 64).astype(np.intp) * 64 + _NIBBLES
+        acc = part.take(rows, axis=0)
+        half = 32
+        while half:
+            acc[:, :half] ^= acc[:, half:2 * half]
+            half //= 2
+        out[:, start:start + 64] = acc[:, 0].T
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _jump_table(k):
+    """The xoshiro256++ state update to the power 2**k, read-only, in
+    _jump's (4, 256) form: T from one step of the 256 one-bit states, each
+    further power the square of the one before."""
+    if k == 0:
+        bit = np.arange(256)
+        basis = np.zeros((4, 256), dtype=np.uint64)
+        basis[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
+        records = np.empty((1, 256), dtype=np.uint64)
+        table = np.array(_steps(*basis, records, records))
+    else:
+        half = _jump_table(k - 1)
+        table = _jump(half, half)
+    table.flags.writeable = False
+    return table
+
+
 class Rng:
     """xoshiro256++ generator seeded through splitmix64.
 
@@ -50,35 +142,57 @@ class Rng:
         for _ in range(4):
             s, z = splitmix64(s)
             state.append(z)
-        self._s = state
+        self._s = tuple(state)
 
     def _words(self, n):
         """The next n raw 64-bit outputs as a uint64 array.
 
-        The Python loop runs only the linear state update and records s0
-        and s3 of each step; the ++ scrambler rotl(s0 + s3, 23) + s0 then
-        runs once over the recorded words, in uint64 arithmetic that wraps
-        modulo 2**64 as the masks of the state update do."""
-        s0, s1, s2, s3 = self._s
+        The state loop records s0 and s3 of each step; the ++ scrambler
+        then runs once over the recorded words."""
+        if n >= _LANE_MIN_WORDS:
+            return self._lane_words(n)
         w0 = array("Q", bytes(8 * n))
         w3 = array("Q", bytes(8 * n))
-        for i in range(n):
-            w0[i] = s0
-            w3[i] = s3
-            t = (s1 << 17) & _M64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _M64
-        self._s = [s0, s1, s2, s3]
-        w0 = np.frombuffer(w0, dtype=np.uint64)
-        x = w0 + np.frombuffer(w3, dtype=np.uint64)
-        return ((x << 23) | (x >> 41)) + w0
+        self._s = _steps(*self._s, w0, w3)
+        return _scramble(np.frombuffer(w0, dtype=np.uint64),
+                         np.frombuffer(w3, dtype=np.uint64))
+
+    def _lane_words(self, n):
+        """_words for large n: lanes of the same stream stepped together.
+
+        Lane j draws words j*m to j*m + m - 1 of the request, m = 2**p
+        about sqrt(n) / 4, so there are about 4 sqrt(n) lanes. Lane j
+        starts at the state j*m steps on, found by doubling: the first
+        2**t lanes, jumped by T**(m * 2**t), start the next 2**t. The last
+        lane may draw fewer than m words, and the state after the request
+        is that lane's once it has drawn them."""
+        p = max(int(n).bit_length() // 2 - 2, 0)
+        m = 1 << p
+        count = -(-n // m)
+        lanes = np.empty((4, count), dtype=np.uint64)
+        lanes[:, 0] = self._s
+        have = 1
+        while have < count:
+            more = min(have, count - have)
+            lanes[:, have:have + more] = _jump(
+                _jump_table(p + have.bit_length() - 1), lanes[:, :more])
+            have += more
+        # lane-major records: row j holds lane j's words in stream order
+        w0 = np.empty((count, m), dtype=np.uint64)
+        w3 = np.empty((count, m), dtype=np.uint64)
+        last = n - (count - 1) * m
+        state = _steps(*lanes, w0.T[:last], w3.T[:last])
+        self._s = tuple(int(word[-1]) for word in state)
+        if last < m:
+            _steps(*(word[:-1] for word in state), w0.T[last:, :-1],
+                   w3.T[last:, :-1])
+        return _scramble(w0.reshape(-1)[:n], w3.reshape(-1)[:n])
 
     def next_uint64(self):
-        return int(self._words(1)[0])
+        s0, s3 = [0], [0]
+        self._s = _steps(*self._s, s0, s3)
+        x = (s0[0] + s3[0]) & _M64
+        return ((((x << 23) | (x >> 41)) & _M64) + s0[0]) & _M64
 
     def uniform(self):
         """One double in [0, 1)."""
@@ -113,7 +227,7 @@ class Rng:
     def set_state_words(self, words):
         if len(words) != 4:
             raise ValueError("xoshiro256++ state is four 64-bit words")
-        self._s = [int(w) & _M64 for w in words]
+        self._s = tuple(int(w) & _M64 for w in words)
 
 
 # ---------------------------------------------------------------------------

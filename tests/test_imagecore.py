@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from htlab.imagecore import (NetpbmError, Rng, constant_image, derive_seed,
+from htlab.imagecore import (_LANE_MIN_WORDS, NetpbmError, Rng, _jump,
+                             _jump_table, constant_image, derive_seed,
                              gaussian_noise_map, load_pbm, load_pgm,
                              random_crop, save_pbm, save_pgm, splitmix64,
                              validate_contone, validate_halftone)
@@ -25,6 +26,10 @@ SPLITMIX_FROM_0 = (16294208416658607535, 7960286522194355700,
 XOSHIRO_FROM_1234 = (41943041, 58720359, 3588806011781223,
                      3591011842654386, 9228616714210784205,
                      9973669472204895162)
+
+
+def _uniforms_of(words):
+    return (np.array(words, dtype=np.uint64) >> np.uint64(11)) * 2.0 ** -53
 
 
 class TestRng:
@@ -62,11 +67,15 @@ class TestRng:
             assert r1.uniform() == (r2.next_uint64() >> 11) * 2.0 ** -53
 
     def test_uniforms_matches_scalar_stream(self):
+        # single draws step Python ints, vector draws record words in
+        # arrays; both are the word-by-word stream
         r1, r2 = Rng(5), Rng(5)
-        vec = r1.uniforms(37)
-        assert vec.shape == (37,)
-        assert list(vec) == [r2.uniform() for _ in range(37)]
-        assert r1.state_words() == r2.state_words()
+        words, state = oracles.xoshiro256pp_words(r1.state_words(), 300)
+        vec = r1.uniforms(300)
+        assert vec.shape == (300,)
+        singles = [r2.uniform() for _ in range(300)]
+        assert list(vec) == singles == _uniforms_of(words).tolist()
+        assert r1.state_words() == r2.state_words() == state
 
     def test_uniform_range(self):
         r = Rng(11)
@@ -163,6 +172,55 @@ class TestRng:
         want += uniforms(33)
         assert got == want
         assert resumed.state_words() == state
+
+
+class TestLaneDraws:
+    """Requests of _LANE_MIN_WORDS words or more run as lanes of the
+    stream; their words and the state after them are the one-generator
+    stream's."""
+
+    @pytest.mark.parametrize("n", [
+        _LANE_MIN_WORDS - 1, _LANE_MIN_WORDS, _LANE_MIN_WORDS + 1,
+        # lanes of 16 words: the last lane draws 8
+        5000, 65536, 65536 + 3])
+    def test_words_and_state_match_the_oracle(self, n):
+        r = Rng(2025)
+        state = r.state_words()
+        for _ in range(2):
+            words, state = oracles.xoshiro256pp_words(state, n)
+            assert r.uniforms(n).tobytes() == _uniforms_of(words).tobytes()
+            assert r.state_words() == state
+        resumed = Rng(0)
+        resumed.set_state_words(state)
+        words, state = oracles.xoshiro256pp_words(state, n)
+        assert resumed._words(n).tolist() == words
+        assert resumed.state_words() == state
+
+    def test_odd_gaussians_consume_whole_pairs(self):
+        n = 2 * _LANE_MIN_WORDS + 1
+        r, twin = Rng(77), Rng(77)
+        words, state = oracles.xoshiro256pp_words(r.state_words(), n + 1)
+        z = r.gaussians(n)
+        assert r.state_words() == state
+        assert twin.uniforms(n + 1).tobytes() == _uniforms_of(words).tobytes()
+        assert z.shape == (n,)
+        assert z.tobytes() == Rng(77).gaussians(n + 1)[:n].tobytes()
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 10, 16])
+    def test_a_table_power_is_that_many_steps(self, k):
+        state = Rng(k).state_words()
+        lanes = np.array(state, dtype=np.uint64)[:, None]
+        got = _jump(_jump_table(k), lanes)
+        _, want = oracles.xoshiro256pp_words(state, 2 ** k)
+        assert tuple(int(w) for w in got[:, 0]) == want
+
+    def test_jump_tables_are_read_only(self):
+        for k in (0, 3):
+            table = _jump_table(k)
+            assert table is _jump_table(k)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
 
 
 class TestValidation:

@@ -1,6 +1,7 @@
 """Repository hygiene: the library imports only what it declares and starts
-no threads, src holds no code that only tests reach, and the CLI's outputs
-do not depend on how many threads BLAS runs.
+no threads, src holds no code that only tests reach, and neither the CLI's
+outputs nor image-scale inference and draws depend on how many threads BLAS
+runs.
 
 numpy is htlab's one runtime dependency. scipy and pytest-benchmark may be
 installed next to it, but nothing declares them, so src/ must not use them.
@@ -11,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import helpers
 from htlab.imagecore import Rng, save_pgm
@@ -152,6 +155,34 @@ def test_convolve_same_does_not_depend_on_blas_threads(tmp_path):
             "print(hashlib.sha256(out.tobytes()).hexdigest())\n")
     hashes = {threads: _run_python(["-c", code], threads, tmp_path)
               for threads in (1, 2)}
+    assert hashes[1] == hashes[2]
+
+
+# an 8x2 policy's inference at 256^2, and a 65,536-word request, which is
+# drawn as lanes of the xoshiro stream
+LARGE_WORK = {
+    "inference_256": (
+        "import hashlib\n"
+        "from htlab.imagecore import Rng\n"
+        "from htlab.nn import PolicyNetwork\n"
+        "net = PolicyNetwork(channels=8, blocks=2)\n"
+        "net.init_params(Rng(4), std=0.3)\n"
+        "x = Rng(5).uniforms(2 * 256 * 256).reshape(1, 2, 256, 256)\n"
+        "p = net.forward(x, train=False)\n"
+        "print(hashlib.sha256(p.tobytes()).hexdigest())\n"),
+    "draw_65536": (
+        "import hashlib\n"
+        "from htlab.imagecore import Rng\n"
+        "r = Rng(6)\n"
+        "u = r.uniforms(65536 + 3)\n"
+        "print(hashlib.sha256(u.tobytes()).hexdigest(), r.state_words())\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_WORK))
+def test_large_work_does_not_depend_on_blas_threads(tmp_path, case):
+    hashes = {threads: _run_python(["-c", LARGE_WORK[case]], threads,
+                                   tmp_path) for threads in (1, 2)}
     assert hashes[1] == hashes[2]
 
 

@@ -5,8 +5,10 @@ Exit codes: 0 success, 2 usage error, 3 data error (unreadable or
 inconsistent inputs), 4 internal invariant breach.
 
 Every command writes a JSON run manifest next to its primary output with
-the resolved arguments, seed, version, timestamps and a sha256 per output
-file, so a run can be replayed and its outputs audited for tampering.
+the resolved arguments, seed, version, timestamps, the numpy and BLAS build
+and a sha256 per output file, so a run can be replayed and its outputs
+audited for tampering. The build is there because network bytes depend on
+the BLAS kernels.
 Reruns with identical arguments and seed produce byte-identical outputs
 (the manifest's timestamps are the one deliberate exception).
 """
@@ -67,6 +69,17 @@ def _sha256(path):
     return digest.hexdigest()
 
 
+def _build():
+    """numpy's version and the BLAS it was built against, as numpy reports
+    them (numpy before 1.25 reports no BLAS)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {"numpy": np.__version__, "blas": blas.get("name", "unknown"),
+            "blas_version": blas.get("version", "unknown")}
+
+
 def write_manifest(manifest_path, command, argv, resolved, seed, outputs,
                    started, finished):
     payload = {
@@ -75,6 +88,7 @@ def write_manifest(manifest_path, command, argv, resolved, seed, outputs,
         "resolved": resolved,
         "seed": seed,
         "version": __version__,
+        "build": _build(),
         "started": started,
         "finished": finished,
         "outputs": {str(p): _sha256(p) for p in outputs},

@@ -10,9 +10,18 @@ toggle algebra rely on. It adds the K^2 weighted shifted slices of one
 zero-padded array in a fixed order and calls no BLAS, so its bytes do not
 depend on the thread count or on whether an image comes alone or stacked.
 
-A kernel is a plain (K, K) float64 array. Each builder caches its kernels,
-so every caller of one configuration shares one array; the arrays are
-read-only, so copy one before editing it.
+A Gaussian kernel is the outer product of one 1-D factor, so a Gaussian
+window is taken as two 1-D passes of K taps each (rows, then columns) by
+correlate_separable, with the same fixed order, zero padding and batch
+rule, at 2K multiply-adds a pixel instead of K^2. It agrees with the 2-D
+sum to rounding (about 1e-15 on [0, 1] inputs). filter_image is the one
+HVS filter of a configuration: the separable path for a Gaussian, the 2-D
+sum for Nasanen, whose kernel is not separable (its second singular value
+is 9.8 % of its first).
+
+A kernel is a plain (K, K) float64 array and a factor a (K,) one. Each
+builder caches its arrays, so every caller of one configuration shares one
+array; the arrays are read-only, so copy one before editing it.
 """
 
 import functools
@@ -52,17 +61,29 @@ def _unit_sum(k):
     return k
 
 
-@functools.lru_cache(maxsize=32)
-def build_gaussian_kernel(size, sigma):
-    """Sampled isotropic Gaussian, truncated to size x size, sum 1."""
+def _gaussian_samples(size, sigma):
+    """The unnormalized 1-D Gaussian both Gaussian builders start from."""
     if size % 2 != 1 or not 1 <= size <= _NASANEN_GRID:
         raise ValueError("kernel size must be odd, in [1, 128]")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     half = size // 2
     x = np.arange(-half, half + 1, dtype=np.float64)
-    g1 = np.exp(-(x * x) / (2.0 * sigma * sigma))
+    return np.exp(-(x * x) / (2.0 * sigma * sigma))
+
+
+@functools.lru_cache(maxsize=32)
+def build_gaussian_kernel(size, sigma):
+    """Sampled isotropic Gaussian, truncated to size x size, sum 1."""
+    g1 = _gaussian_samples(size, sigma)
     return _unit_sum(np.outer(g1, g1))
+
+
+@functools.lru_cache(maxsize=32)
+def gaussian_factor(size, sigma):
+    """The 1-D factor g of build_gaussian_kernel(size, sigma), sum 1: the
+    kernel is outer(g, g) up to rounding."""
+    return _unit_sum(_gaussian_samples(size, sigma))
 
 
 def nasanen_frequency_response(f_cpd):
@@ -125,6 +146,40 @@ def convolve_same(img, kernel):
             np.multiply(pad[..., i:i + rows, j:j + cols], wf[i, j], out=tap)
             out += tap
     return out
+
+
+def correlate_separable(img, g):
+    """Same-size correlation with the kernel outer(g, g), zero padding, as
+    two 1-D passes: along rows, then along columns, each adding its taps in
+    index order. Leading axes are a batch, so a stack gives each image the
+    bytes it gets alone. g must have odd length."""
+    img = np.asarray(img, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if g.ndim != 1 or g.shape[0] % 2 != 1:
+        raise ValueError("factor must be 1-D with odd length")
+    half = g.shape[0] // 2
+    rows, cols = img.shape[-2:]
+    pad = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(half, half)] * 2)
+    # the row pass runs over the padding rows too, which stay zero
+    across = pad[..., :, 0:cols] * g[0]
+    tap = np.empty_like(across)
+    for j in range(1, g.shape[0]):
+        np.multiply(pad[..., :, j:j + cols], g[j], out=tap)
+        across += tap
+    out = across[..., 0:rows, :] * g[0]
+    tap = tap[..., 0:rows, :]
+    for i in range(1, g.shape[0]):
+        np.multiply(across[..., i:i + rows, :], g[i], out=tap)
+        out += tap
+    return out
+
+
+def filter_image(img, cfg):
+    """img through the HVS filter of cfg (an HvsConfig): two 1-D passes of
+    the Gaussian factor, or the 2-D sum of the Nasanen kernel."""
+    if cfg.model == "gaussian":
+        return correlate_separable(img, gaussian_factor(cfg.size, cfg.sigma))
+    return convolve_same(img, build_kernel(cfg))
 
 
 def dump_kernel_csv(kernel, path):

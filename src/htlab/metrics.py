@@ -3,7 +3,13 @@
 The scalar objective is R = -MSE(HVS(h), HVS(c)) + w_s * CSSIM(h, c), which
 decomposes pixelwise as r_a = -e_a + w_s * cssim_a with R = mean(r). CSSIM is
 SSIM blended toward 1 by a local contrast map of the contone, so flat regions
-stop penalizing structure they do not have.
+stop penalizing structure they do not have: where the SSIM window of the
+zero-padded contone holds a single value, its variance, and so its
+contrast, is exactly 0 and CSSIM exactly 1.
+
+Every SSIM window sum is a separable Gaussian correlation (two 1-D passes,
+hvs.correlate_separable), and the HVS error of a pair is one filter pass
+over h - c (filtered_error).
 
 The scored metrics take a region: 'valid' averages only over pixels whose
 filter and SSIM windows fit inside the image (used for reported numbers),
@@ -22,7 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hvs import HvsConfig, build_gaussian_kernel, build_kernel, convolve_same
+from .hvs import (HvsConfig, build_gaussian_kernel, build_kernel,
+                  convolve_same, correlate_separable, filter_image,
+                  gaussian_factor)
 
 
 @dataclass(frozen=True)
@@ -40,10 +48,6 @@ def _corr_stencil(kernel_weights):
     # convolve_same flips its kernel; feeding the pre-flipped weights turns it
     # into plain correlation, the form the window-delta algebra is written in
     return kernel_weights[::-1, ::-1]
-
-
-def _corr(img, stencil):
-    return convolve_same(img, _corr_stencil(stencil))
 
 
 def region_mask(shape, cfg, region):
@@ -65,12 +69,18 @@ def _region_mean(values, cfg, region):
     return float(values[mask].mean()) if mask.any() else math.nan
 
 
+def filtered_error(h, c, hvs_cfg):
+    """The HVS-filtered error HVS(h - c) of a halftone against its contone:
+    one filter pass, which the filter's linearity makes HVS(h) - HVS(c) up
+    to rounding."""
+    return filter_image(np.asarray(h, dtype=np.float64)
+                        - np.asarray(c, dtype=np.float64), hvs_cfg)
+
+
 def hvs_mse(h, c, cfg=None, region="valid"):
     """Mean squared error between HVS-filtered halftone and contone."""
     cfg = cfg or MetricConfig()
-    k = build_kernel(cfg.hvs)
-    return _region_mean((convolve_same(h, k) - convolve_same(c, k)) ** 2,
-                        cfg, region)
+    return _region_mean(filtered_error(h, c, cfg.hvs) ** 2, cfg, region)
 
 
 def psnr(mse):
@@ -82,13 +92,41 @@ def psnr(mse):
     return -10.0 * math.log10(mse)
 
 
-def _contone_terms(mu_y, syy):
-    """The y-only SSIM terms (mu_y, mu_y^2, variance, std) from the windowed
-    mean and E[y^2]; the variance clamps at zero. They do not change when
-    only x is edited, so the edit loop computes them once."""
-    mu_y2 = mu_y * mu_y
-    vy = np.maximum(syy - mu_y2, 0.0)
-    return mu_y, mu_y2, vy, np.sqrt(vy)
+def _running(a, size, axis, op):
+    """op (np.maximum or np.minimum) over every size-long run of a along
+    axis -1 or -2."""
+    n = a.shape[axis] - size + 1
+    tail = (slice(None),) * (-1 - axis)
+    out = a[(..., slice(0, n)) + tail].copy()
+    for j in range(1, size):
+        op(out, a[(..., slice(j, j + n)) + tail], out=out)
+    return out
+
+
+def _flat_windows(c, size):
+    """True where the size x size window of the zero-padded c holds a
+    single value (its max equals its min), from 1-D passes along rows, then
+    columns. Within size // 2 pixels of the border a window reaches into
+    the padding, so it is flat only where c is 0 there."""
+    half = size // 2
+    hi = lo = np.pad(c, [(0, 0)] * (c.ndim - 2) + [(half, half)] * 2)
+    for axis in (-1, -2):
+        hi = _running(hi, size, axis, np.maximum)
+        lo = _running(lo, size, axis, np.minimum)
+    return hi == lo
+
+
+def _contone_terms(c, cfg):
+    """The contone-only SSIM terms (mu_c, mu_c^2, variance, std); they do
+    not change when only h is edited, so the edit loop computes them once.
+    The variance E[c^2] - mu_c^2 clamps at zero, and is exactly zero on a
+    flat window, where the one-pass form would leave rounding noise."""
+    g = gaussian_factor(cfg.ssim_window, cfg.ssim_sigma)
+    mu = correlate_separable(c, g)
+    mu2 = mu * mu
+    var = np.maximum(correlate_separable(c * c, g) - mu2, 0.0)
+    var[_flat_windows(c, cfg.ssim_window)] = 0.0
+    return mu, mu2, var, np.sqrt(var)
 
 
 def _ssim_from_stats(mu_x, sxx, sxy, contone, c1, c2):
@@ -114,14 +152,14 @@ def _window_stats(h, c, cfg):
 
     A binary h (0s and 1s) squares to its own bytes, so E[h^2] is then the
     mu_h array itself, with the bytes a fifth correlation would give."""
-    w = build_gaussian_kernel(cfg.ssim_window, cfg.ssim_sigma)
-    contone = _contone_terms(_corr(c, w), _corr(c * c, w))
+    g = gaussian_factor(cfg.ssim_window, cfg.ssim_sigma)
+    contone = _contone_terms(c, cfg)
     sigma_c = np.minimum(cfg.contrast_gain * contone[3], 1.0)
-    mu_h = _corr(h, w)
+    mu_h = correlate_separable(h, g)
     hh = h * h
     binary = np.array_equal(hh.view(np.uint64), h.view(np.uint64))
-    shh = mu_h if binary else _corr(hh, w)
-    return mu_h, shh, _corr(h * c, w), contone, sigma_c
+    shh = mu_h if binary else correlate_separable(hh, g)
+    return mu_h, shh, correlate_separable(h * c, g), contone, sigma_c
 
 
 def _cssim_map(sigma_c, ssim_map):
@@ -179,8 +217,7 @@ class RewardContext:
             raise ValueError("halftone and contone shapes differ")
         self.kernel = build_kernel(cfg.hvs)
         self.w = build_gaussian_kernel(cfg.ssim_window, cfg.ssim_sigma)
-        self.e = (convolve_same(self.h, self.kernel)
-                  - convolve_same(self.c, self.kernel))
+        self.e = filtered_error(self.h, self.c, cfg.hvs)
         (self.mu_h, self.shh, self.shc, self.contone,
          self.sigma_c) = _window_stats(self.h, self.c, cfg)
         self.ssim_map = _ssim_from_stats(self.mu_h, self.shh, self.shc,
@@ -230,6 +267,10 @@ def _delta_cssim_map(ctx, delta):
     out = np.zeros_like(delta)
     c1, c2 = ctx.cfg.c1, ctx.cfg.c2
     q = 2.0 * ctx.h * delta + delta * delta
+    # a binary h (shh is mu_h) toggled to 1 - h has q with the bytes of
+    # delta, so every shh1 has the bytes of its mu1
+    toggle = (ctx.shh is ctx.mu_h
+              and np.array_equal(q.view(np.uint64), delta.view(np.uint64)))
     for dy in range(-wh, wh + 1):
         y0, y1 = max(0, -dy), min(hgt, hgt - dy)
         if y0 >= y1:
@@ -243,7 +284,7 @@ def _delta_cssim_map(ctx, delta):
             sa = (..., slice(y0 + dy, y1 + dy), slice(x0 + dx, x1 + dx))
             wdv = wd * delta[sa]
             mu1 = ctx.mu_h[sb] + wdv
-            shh1 = ctx.shh[sb] + wd * q[sa]
+            shh1 = mu1 if toggle else ctx.shh[sb] + wd * q[sa]
             shc1 = ctx.shc[sb] + wdv * ctx.c[sa]
             s_new = _ssim_from_stats(mu1, shh1, shc1,
                                      [t[sb] for t in ctx.contone], c1, c2)

@@ -234,8 +234,12 @@ def train_step(net, adam, dataset, cfg, rng, t):
     if cfg.w_a != 0.0 and (cfg.levels == 2 or cfg.multitone_anisotropy):
         xg = np.empty((b, 2, size, size))
         xg[:, 0] = rng.uniforms(b)[:, None, None]
-        for i in range(b):
-            xg[i, 1] = gaussian_noise_map(rng, size, size)
+        if size * size % 2 == 0:
+            # no map burns a draw, so one call gives the words of b calls
+            xg[:, 1] = rng.gaussians(b * size * size).reshape(b, size, size)
+        else:
+            for i in range(b):
+                xg[i, 1] = gaussian_noise_map(rng, size, size)
         pg = net.forward(xg)[:, 0]
         part = ring_partition((size, size))
         l_as = float(np.mean(anisotropy_loss(pg, part)))

@@ -10,6 +10,9 @@ gradient estimators, so it enumerates the package's own reward and cast.
 conv3x3_forward_tensordot and conv3x3_backward_tensordot are not slow: they
 are the per-tap tensordot form nn.Conv2d used before its flat-shift layout,
 kept as the byte-for-byte reference that layout must reproduce.
+correlate_2d_dense is the K^2-tap correlation every Gaussian window was
+taken with before the separable two-pass form replaced it, kept as the
+2-D reference that form must agree with to rounding.
 delta_cssim_map_per_offset is likewise the CSSIM-delta loop as it stood
 before its per-pixel factors were hoisted out of the offset loop; it shares
 the package's SSIM formula, because the hoisted loop must reproduce it byte
@@ -61,6 +64,21 @@ def window_mean_brute(img, weights):
                     if 0 <= yy < hgt and 0 <= xx < wid:
                         acc += weights[i, j] * img[yy, xx]
             out[y, x] = acc
+    return out
+
+
+def correlate_2d_dense(img, weights):
+    """Same-size 2-D correlation with a square odd window, zero padding,
+    over the last two axes: the K^2 weighted shifted slices of one padded
+    array, added in row-major tap order."""
+    size = weights.shape[0]
+    half = size // 2
+    rows, cols = img.shape[-2:]
+    pad = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(half, half)] * 2)
+    out = np.zeros(img.shape)
+    for i in range(size):
+        for j in range(size):
+            out += weights[i, j] * pad[..., i:i + rows, j:j + cols]
     return out
 
 

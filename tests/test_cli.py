@@ -875,3 +875,12 @@ class TestManifestHelpers:
         assert cli.verify_manifest(str(manifest)) == []
         target.unlink()
         assert cli.verify_manifest(str(manifest)) == [str(target)]
+
+    def test_names_the_numpy_and_blas_build(self, tmp_path):
+        manifest = tmp_path / "m.json"
+        cli.write_manifest(str(manifest), "halftone", ["x"], {}, 0, [],
+                           "t0", "t1")
+        build = json.loads(manifest.read_text())["build"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert build == {"numpy": np.__version__, "blas": blas["name"],
+                         "blas_version": blas["version"]}

@@ -5,11 +5,12 @@ import pytest
 
 from htlab import classic, metrics, spectral
 from htlab.hvs import (HvsConfig, build_gaussian_kernel, build_kernel,
-                       build_nasanen_kernel, convolve_same, dump_kernel_csv,
-                       nasanen_frequency_response)
+                       build_nasanen_kernel, convolve_same,
+                       correlate_separable, dump_kernel_csv, filter_image,
+                       gaussian_factor, nasanen_frequency_response)
 from htlab.imagecore import Rng
 
-from oracles import conv2d_same_brute
+from oracles import conv2d_same_brute, correlate_2d_dense
 
 # frozen from the closed form a*L^b*exp(-f/(c*ln L + d)) with a=131.6,
 # b=0.3188, c=0.525, d=3.91, L=11
@@ -104,6 +105,7 @@ class TestCachedArrays:
         assert ctx.kernel is build_kernel(mcfg.hvs)
         assert ctx.w is build_gaussian_kernel(mcfg.ssim_window,
                                               mcfg.ssim_sigma)
+        assert gaussian_factor(5, 2.0) is gaussian_factor(5, 2.0)
 
     def test_writes_raise(self):
         mcfg = metrics.MetricConfig()
@@ -111,6 +113,7 @@ class TestCachedArrays:
         shared = [build_kernel(HvsConfig()),
                   build_kernel(HvsConfig(model="gaussian")),
                   build_gaussian_kernel(mcfg.ssim_window, mcfg.ssim_sigma),
+                  gaussian_factor(mcfg.ssim_window, mcfg.ssim_sigma),
                   classic._edge_class(HvsConfig(), (1, 5, 0, 5))[0],
                   part.ring_index, part.radii, part.counts]
         for arr in shared:
@@ -152,6 +155,57 @@ class TestConvolveSame:
     def test_rejects_even_or_non_square_kernels(self, shape):
         with pytest.raises(ValueError, match="odd and square"):
             convolve_same(np.ones((6, 6)), np.ones(shape))
+
+
+class TestCorrelateSeparable:
+    """A Gaussian window is two 1-D passes of its factor; the dense K^2-tap
+    correlation with the 2-D kernel is the reference it must meet to
+    rounding."""
+
+    FACTORS = [(11, 1.5), (11, 2.0), (5, 1.5)]
+
+    def test_factor_is_the_kernel_marginal(self):
+        for size, sigma in self.FACTORS:
+            g = gaussian_factor(size, sigma)
+            assert g.shape == (size,)
+            assert math.isclose(g.sum(), 1.0, rel_tol=0, abs_tol=1e-15)
+            k = build_gaussian_kernel(size, sigma)
+            assert np.max(np.abs(np.outer(g, g) - k) / k) <= 1e-15
+
+    @pytest.mark.parametrize("size,sigma", FACTORS)
+    @pytest.mark.parametrize("shape", [(256, 256), (37, 50), (1, 1), (1, 7),
+                                       (7, 1), (4, 3), (3, 9)])
+    def test_matches_the_dense_2d_correlation(self, size, sigma, shape):
+        # (4, 3) and (3, 9) are smaller than the 11-tap window in one or
+        # both directions, so some taps see only padding
+        img = Rng(size + len(shape)).uniforms(math.prod(shape)).reshape(shape)
+        got = correlate_separable(img, gaussian_factor(size, sigma))
+        want = correlate_2d_dense(img, build_gaussian_kernel(size, sigma))
+        assert np.max(np.abs(got - want)) <= 2e-15
+
+    @pytest.mark.parametrize("shape", [(3, 256, 256), (2, 3, 7, 5),
+                                       (4, 1, 1)])
+    def test_stack_gives_each_image_its_own_bytes(self, shape):
+        stack = Rng(9).uniforms(math.prod(shape)).reshape(shape)
+        g = gaussian_factor(11, 1.5)
+        got = correlate_separable(stack, g)
+        flat = stack.reshape(-1, *shape[-2:])
+        want = np.stack([correlate_separable(img, g) for img in flat])
+        assert got.tobytes() == want.reshape(shape).tobytes()
+
+    def test_filter_image_routes_by_model(self):
+        img = Rng(5).uniforms(20 * 24).reshape(20, 24) - 0.5
+        gau = HvsConfig(model="gaussian", size=7, sigma=1.3)
+        assert filter_image(img, gau).tobytes() == correlate_separable(
+            img, gaussian_factor(7, 1.3)).tobytes()
+        nas = HvsConfig()
+        assert filter_image(img, nas).tobytes() == convolve_same(
+            img, build_kernel(nas)).tobytes()
+
+    @pytest.mark.parametrize("g", [np.ones(4), np.ones((3, 3))])
+    def test_rejects_even_or_2d_factors(self, g):
+        with pytest.raises(ValueError, match="odd length"):
+            correlate_separable(np.ones((6, 6)), g)
 
 
 class TestKernelCsv:

@@ -15,7 +15,9 @@ import pytest
 import helpers
 import oracles
 from htlab import metrics
-from htlab.hvs import HvsConfig, build_gaussian_kernel, build_kernel
+from htlab.classic import ordered_dither
+from htlab.hvs import (HvsConfig, build_gaussian_kernel, build_kernel,
+                       correlate_separable, gaussian_factor)
 from htlab.imagecore import Rng, constant_image
 from htlab.metrics import (MetricConfig, _delta_cssim_map, cssim, delta_map,
                            hvs_mse, psnr, region_mask, reward, ssim)
@@ -257,23 +259,50 @@ class TestRewardContext:
     @pytest.mark.parametrize("shape", [(13, 11), (3, 9, 8)])
     def test_window_sums_equal_the_five_correlation_form(self, levels,
                                                          shape):
-        # a binary halftone reuses mu_h for E[h^2]; a multitone one keeps
-        # the fifth correlation; both give the bytes of all five
+        # every window sum is one separable correlation; a binary halftone
+        # reuses mu_h for E[h^2], a multitone one keeps the fifth
+        # correlation, and both give the bytes of all five. A uniform
+        # contone has no flat window, so its variance is the plain
+        # one-pass form
         rng = Rng(71)
         h = np.floor(rng.uniforms(math.prod(shape)).reshape(shape)
                      * levels) / (levels - 1)
         c = rng.uniforms(h.size).reshape(shape)
         cfg = MetricConfig()
-        w = build_gaussian_kernel(cfg.ssim_window, cfg.ssim_sigma)
+        g = gaussian_factor(cfg.ssim_window, cfg.ssim_sigma)
         mu_h, shh, shc, contone, _ = metrics._window_stats(h, c, cfg)
-        want_contone = metrics._contone_terms(metrics._corr(c, w),
-                                              metrics._corr(c * c, w))
-        assert mu_h.tobytes() == metrics._corr(h, w).tobytes()
-        assert shh.tobytes() == metrics._corr(h * h, w).tobytes()
-        assert shc.tobytes() == metrics._corr(h * c, w).tobytes()
+        mu_c = correlate_separable(c, g)
+        var = np.maximum(correlate_separable(c * c, g) - mu_c * mu_c, 0.0)
+        want_contone = (mu_c, mu_c * mu_c, var, np.sqrt(var))
+        assert mu_h.tobytes() == correlate_separable(h, g).tobytes()
+        assert shh.tobytes() == correlate_separable(h * h, g).tobytes()
+        assert shc.tobytes() == correlate_separable(h * c, g).tobytes()
         for got, want in zip(contone, want_contone):
             assert got.tobytes() == want.tobytes()
         assert (shh is mu_h) == (levels == 2)
+
+    @pytest.mark.parametrize("size", [32, 40, 64])
+    def test_flat_windows_have_zero_contrast_and_cssim_one(self, size):
+        # the window of a flat valid-region pixel holds one value, so its
+        # variance is exactly 0 whatever order the sums were taken in
+        cfg = MetricConfig()
+        mask = region_mask((size, size), cfg, "valid")
+        for gray in (0.0, 2.0 / 255.0, 0.1, 0.35, 0.5, 0.7, 0.9, 1.0):
+            c = constant_image(gray, size, size)
+            h = ordered_dither(c, 8)
+            sigma_c = metrics._window_stats(h, c, cfg)[4]
+            assert np.all(sigma_c[mask] == 0.0), gray
+            assert cssim(h, c, cfg)[0] == 1.0, gray
+
+    def test_flat_mask_sees_the_zero_padding(self):
+        # within half a window of the border the padding is part of the
+        # window, so a flat nonzero contone has contrast there
+        c = constant_image(0.35, 32, 32)
+        flat = metrics._flat_windows(c, 11)
+        want = np.zeros((32, 32), dtype=bool)
+        want[5:-5, 5:-5] = True
+        assert np.array_equal(flat, want)
+        assert np.all(metrics._flat_windows(np.zeros((3, 7, 4)), 11))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -344,6 +373,21 @@ class TestDeltaMap:
             h2.flat[a] = 1.0 - h2.flat[a]
             want = base - hvs_mse(h2, c, cfg, region="full")
             assert dm.flat[a] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(8, 32, 32), (3, 23, 19), (7, 8)])
+    def test_binary_toggle_bytes_equal_the_general_path(self, shape):
+        # a binary h toggled to 1 - h skips the E[h^2] update (it equals
+        # mu_h's); a context whose shh is a copy of mu_h takes the general
+        # update and must give the same bytes
+        rng = Rng(59)
+        h = (rng.uniforms(math.prod(shape)).reshape(shape) < 0.5) * 1.0
+        c = rng.uniforms(h.size).reshape(shape)
+        ctx = reward(h, c, MetricConfig())
+        general = reward(h, c, MetricConfig())
+        general.shh = general.mu_h.copy()
+        assert ctx.shh is ctx.mu_h
+        got = delta_map(ctx, 1.0 - h)
+        assert got.tobytes() == delta_map(general, 1.0 - h).tobytes()
 
     def test_shape_mismatch_rejected(self):
         ctx = reward(checkerboard(6, 6), constant_image(0.5, 6, 6), SMALL)

@@ -130,6 +130,8 @@ class TestConv2d:
         (8, 2, 8, 32, 32), (8, 8, 8, 32, 32), (8, 8, 1, 32, 32),
         (1, 2, 8, 64, 64), (3, 2, 4, 6, 7), (2, 3, 2, 1, 1),
         (2, 3, 5, 1, 9),
+        # the convolutions of a 32-channel policy on 64^2 crops
+        (2, 2, 32, 64, 64), (2, 32, 32, 64, 64), (2, 32, 1, 64, 64),
         # the convolutions of an 8-channel policy at image scale
         (1, 2, 8, 256, 256), (1, 8, 8, 256, 256), (1, 8, 1, 256, 256)])
     def test_flat_shift_is_byte_equal_to_tensordot(self, batch, c_in, c_out,

@@ -179,6 +179,38 @@ LARGE_WORK = {
 }
 
 
+# the Conv2d layers the program runs, as (batch, c_in, c_out, size): an
+# 8-channel policy on the training crops and at image scale, and a
+# 32-channel one on 64^2 crops
+PROGRAM_CONVS = [(8, 2, 8, 32), (8, 8, 8, 32), (8, 8, 1, 32),
+                 (2, 2, 32, 64), (2, 32, 32, 64), (2, 32, 1, 64),
+                 (1, 2, 8, 256), (1, 8, 8, 256)]
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_conv_input_gradient_is_the_tensordot_bytes_at_program_shapes(
+        tmp_path, blas_threads):
+    # the nn docstring claims this identity only at these shapes; BLAS
+    # chooses its kernels by size and thread count, so check both settings
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "import oracles\n"
+            "from htlab.imagecore import Rng\n"
+            "from htlab.nn import Conv2d\n"
+            f"for b, ci, co, n in {PROGRAM_CONVS!r}:\n"
+            "    rng = Rng(ci * co + n)\n"
+            "    conv = Conv2d(ci, co)\n"
+            "    w = conv.weight.value\n"
+            "    w[...] = rng.gaussians(w.size).reshape(w.shape) * 0.3\n"
+            "    x = rng.gaussians(b * ci * n * n).reshape(b, ci, n, n)\n"
+            "    conv.forward(x)\n"
+            "    g = rng.gaussians(b * co * n * n).reshape(b, co, n, n)\n"
+            "    want = oracles.conv3x3_backward_tensordot(x, w, g)[0]\n"
+            "    if conv.backward(g).tobytes() != want.tobytes():\n"
+            "        print((b, ci, co, n))\n")
+    assert _run_python(["-c", code], blas_threads, tmp_path) == ""
+
+
 @pytest.mark.parametrize("case", sorted(LARGE_WORK))
 def test_large_work_does_not_depend_on_blas_threads(tmp_path, case):
     hashes = {threads: _run_python(["-c", LARGE_WORK[case]], threads,

@@ -158,16 +158,18 @@ def correlate_separable(img, g):
     if g.ndim != 1 or g.shape[0] % 2 != 1:
         raise ValueError("factor must be 1-D with odd length")
     half = g.shape[0] // 2
+    lead = img.shape[:-2]
     rows, cols = img.shape[-2:]
-    pad = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(half, half)] * 2)
-    # the row pass runs over the padding rows too, which stay zero
-    across = pad[..., :, 0:cols] * g[0]
-    tap = np.empty_like(across)
+    pad = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(0, 0), (half, half)])
+    # the column pass reads half zero rows above and below the row pass
+    across = np.zeros(lead + (rows + 2 * half, cols))
+    inner = across[..., half:half + rows, :]
+    np.multiply(pad[..., 0:cols], g[0], out=inner)
+    tap = np.empty_like(img)
     for j in range(1, g.shape[0]):
-        np.multiply(pad[..., :, j:j + cols], g[j], out=tap)
-        across += tap
+        np.multiply(pad[..., j:j + cols], g[j], out=tap)
+        inner += tap
     out = across[..., 0:rows, :] * g[0]
-    tap = tap[..., 0:rows, :]
     for i in range(1, g.shape[0]):
         np.multiply(across[..., i:i + rows, :], g[i], out=tap)
         out += tap

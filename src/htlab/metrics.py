@@ -267,10 +267,6 @@ def _delta_cssim_map(ctx, delta):
     out = np.zeros_like(delta)
     c1, c2 = ctx.cfg.c1, ctx.cfg.c2
     q = 2.0 * ctx.h * delta + delta * delta
-    # a binary h (shh is mu_h) toggled to 1 - h has q with the bytes of
-    # delta, so every shh1 has the bytes of its mu1
-    toggle = (ctx.shh is ctx.mu_h
-              and np.array_equal(q.view(np.uint64), delta.view(np.uint64)))
     for dy in range(-wh, wh + 1):
         y0, y1 = max(0, -dy), min(hgt, hgt - dy)
         if y0 >= y1:
@@ -284,7 +280,7 @@ def _delta_cssim_map(ctx, delta):
             sa = (..., slice(y0 + dy, y1 + dy), slice(x0 + dx, x1 + dx))
             wdv = wd * delta[sa]
             mu1 = ctx.mu_h[sb] + wdv
-            shh1 = mu1 if toggle else ctx.shh[sb] + wd * q[sa]
+            shh1 = ctx.shh[sb] + wd * q[sa]
             shc1 = ctx.shc[sb] + wdv * ctx.c[sa]
             s_new = _ssim_from_stats(mu1, shh1, shc1,
                                      [t[sb] for t in ctx.contone], c1, c2)

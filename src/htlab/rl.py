@@ -209,8 +209,8 @@ def train_step(net, adam, dataset, cfg, rng, t):
     one estimator call per step, and one anisotropy loss and gradient call
     on the stack of B flat-gray outputs. Draw order per iteration is fixed
     (image pick, crop offsets, noise map per sample; then the action
-    uniforms of the whole stack; then the B grays and the B noise maps of
-    the anisotropy batch), so a seed pins the whole run.
+    uniforms of the whole stack; then the B grays and one draw of the B
+    noise maps of the anisotropy batch), so a seed pins the whole run.
     """
     size, b = cfg.crop_size, cfg.batch_size
     mcfg = cfg.metric_config()
@@ -234,12 +234,7 @@ def train_step(net, adam, dataset, cfg, rng, t):
     if cfg.w_a != 0.0 and (cfg.levels == 2 or cfg.multitone_anisotropy):
         xg = np.empty((b, 2, size, size))
         xg[:, 0] = rng.uniforms(b)[:, None, None]
-        if size * size % 2 == 0:
-            # no map burns a draw, so one call gives the words of b calls
-            xg[:, 1] = rng.gaussians(b * size * size).reshape(b, size, size)
-        else:
-            for i in range(b):
-                xg[i, 1] = gaussian_noise_map(rng, size, size)
+        xg[:, 1] = rng.gaussians(b * size * size).reshape(b, size, size)
         pg = net.forward(xg)[:, 0]
         part = ring_partition((size, size))
         l_as = float(np.mean(anisotropy_loss(pg, part)))

@@ -374,21 +374,6 @@ class TestDeltaMap:
             want = base - hvs_mse(h2, c, cfg, region="full")
             assert dm.flat[a] == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("shape", [(8, 32, 32), (3, 23, 19), (7, 8)])
-    def test_binary_toggle_bytes_equal_the_general_path(self, shape):
-        # a binary h toggled to 1 - h skips the E[h^2] update (it equals
-        # mu_h's); a context whose shh is a copy of mu_h takes the general
-        # update and must give the same bytes
-        rng = Rng(59)
-        h = (rng.uniforms(math.prod(shape)).reshape(shape) < 0.5) * 1.0
-        c = rng.uniforms(h.size).reshape(shape)
-        ctx = reward(h, c, MetricConfig())
-        general = reward(h, c, MetricConfig())
-        general.shh = general.mu_h.copy()
-        assert ctx.shh is ctx.mu_h
-        got = delta_map(ctx, 1.0 - h)
-        assert got.tobytes() == delta_map(general, 1.0 - h).tobytes()
-
     def test_shape_mismatch_rejected(self):
         ctx = reward(checkerboard(6, 6), constant_image(0.5, 6, 6), SMALL)
         with pytest.raises(ValueError):

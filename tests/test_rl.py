@@ -305,87 +305,6 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_loop(SMOKE, [])
 
-
-class TestAnisotropyBatchDraw:
-    """An even map size draws the B noise maps of the anisotropy batch as
-    one gaussians(B * size^2) call; an odd one burns a draw per map, so it
-    keeps one call per map. Either way the maps, the state words and a
-    resumed run must be those of one gaussian_noise_map call per map."""
-
-    DATA = [helpers.natural_crop(size=12, seed=2),
-            helpers.natural_crop(size=12, seed=6)]
-
-    @staticmethod
-    def _cfg(size, iterations=3):
-        return TrainConfig(iterations=iterations, batch_size=3,
-                           crop_size=size, channels=2, blocks=1, w_a=0.002,
-                           seed=5, hvs_model="gaussian", hvs_size=3,
-                           hvs_sigma=1.0)
-
-    def _steps(self, cfg, per_map):
-        """Two train steps; returns (anisotropy inputs, parameters, state
-        words, diagnostics). per_map serves any batch request map by map,
-        the draw order of one gaussian_noise_map call per map."""
-        rng = Rng(cfg.seed)
-        net = nn.PolicyNetwork(channels=cfg.channels, blocks=cfg.blocks)
-        adam = nn.Adam(net.params())
-        net.init_params(rng)
-        batch = cfg.batch_size * cfg.crop_size ** 2
-        calls = []
-
-        def gaussians(n):
-            calls.append(n)
-            if per_map and n == batch:
-                return np.concatenate([Rng.gaussians(rng, n // 3)
-                                       for _ in range(3)])
-            return Rng.gaussians(rng, n)
-
-        rng.gaussians = gaussians
-        inputs = []
-        forward = net.forward
-
-        def spy(x, **kwargs):
-            inputs.append(x.copy())
-            return forward(x, **kwargs)
-
-        net.forward = spy
-        diags = [rl.train_step(net, adam, self.DATA, cfg, rng, t)
-                 for t in range(2)]
-        xg = [x for k, x in enumerate(inputs) if k % 2]
-        return (xg, [p.value.copy() for p in net.params()],
-                rng.state_words(), diags, calls)
-
-    @pytest.mark.parametrize("size", [4, 6, 3, 5])
-    def test_maps_and_state_equal_the_per_map_draws(self, size):
-        cfg = self._cfg(size)
-        xg, params, words, diags, calls = self._steps(cfg, per_map=False)
-        want_xg, want_params, want_words, want_diags, _ = self._steps(
-            cfg, per_map=True)
-        # one batch call per step exactly when size^2 is even
-        assert calls.count(3 * size * size) == (2 if size % 2 == 0 else 0)
-        for got, want in zip(xg, want_xg):
-            assert got.tobytes() == want.tobytes()
-        assert words == want_words
-        assert diags == want_diags
-        for got, want in zip(params, want_params):
-            assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("size", [4, 5])
-    def test_resume_is_byte_identical(self, size, tmp_path):
-        cfg = self._cfg(size, iterations=4)
-        path = str(tmp_path / "mid.htnn")
-
-        def save_mid(t, diag, net, adam, rng):
-            if t == 1:
-                nn.save_checkpoint(path, net, adam, iteration=2,
-                                   rng_state=rng.state_words())
-
-        whole, _, rng_a = train_loop(cfg, self.DATA, on_iteration=save_mid)
-        resumed, _, rng_b = train_loop(cfg, self.DATA, resume_path=path)
-        assert rng_a.state_words() == rng_b.state_words()
-        for pa, pb in zip(whole.params(), resumed.params()):
-            assert pa.value.tobytes() == pb.value.tobytes()
-
     def test_infer_halftone(self):
         dataset = [helpers.natural_crop(size=12, seed=5)]
         cfg = TrainConfig(iterations=2, batch_size=2, crop_size=8,
@@ -399,3 +318,30 @@ class TestAnisotropyBatchDraw:
         assert np.array_equal(p1, p2)
         assert np.array_equal(h1, (p1 >= 0.5).astype(np.float64))
         assert h1.shape == c.shape
+
+
+class TestAnisotropyBatchDraw:
+    """The B noise maps of the anisotropy batch are one gaussians(B * size^2)
+    draw; a resumed run must give the bytes of an unsplit one for an even
+    and an odd map size."""
+
+    DATA = [helpers.natural_crop(size=12, seed=2),
+            helpers.natural_crop(size=12, seed=6)]
+
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_resume_is_byte_identical(self, size, tmp_path):
+        cfg = TrainConfig(iterations=4, batch_size=3, crop_size=size,
+                          channels=2, blocks=1, w_a=0.002, seed=5,
+                          hvs_model="gaussian", hvs_size=3, hvs_sigma=1.0)
+        path = str(tmp_path / "mid.htnn")
+
+        def save_mid(t, diag, net, adam, rng):
+            if t == 1:
+                nn.save_checkpoint(path, net, adam, iteration=2,
+                                   rng_state=rng.state_words())
+
+        whole, _, rng_a = train_loop(cfg, self.DATA, on_iteration=save_mid)
+        resumed, _, rng_b = train_loop(cfg, self.DATA, resume_path=path)
+        assert rng_a.state_words() == rng_b.state_words()
+        for pa, pb in zip(whole.params(), resumed.params()):
+            assert pa.value.tobytes() == pb.value.tobytes()

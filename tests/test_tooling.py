@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import helpers
+from htlab import cli
 from htlab.imagecore import Rng, save_pgm
 from htlab.nn import PolicyNetwork, save_checkpoint
 from test_cli import train_config
@@ -187,13 +188,20 @@ PROGRAM_CONVS = [(8, 2, 8, 32), (8, 8, 8, 32), (8, 8, 1, 32),
                  (1, 2, 8, 256), (1, 8, 8, 256)]
 
 
+# the build on which the nn docstring's input-gradient identity was measured
+MEASURED_BUILD = {"numpy": "2.4.6", "blas": "scipy-openblas",
+                  "blas_version": "0.3.31.188.0"}
+
+
 @pytest.mark.parametrize("blas_threads", [1, 2])
 def test_conv_input_gradient_is_the_tensordot_bytes_at_program_shapes(
         tmp_path, blas_threads):
-    # the nn docstring claims this identity only at these shapes; BLAS
-    # chooses its kernels by size and thread count, so check both settings
+    # BLAS chooses its kernels by problem size and thread count, so the
+    # byte identity holds on the measured build only; another build may
+    # cross a kernel switch at other sizes and keep only rounding agreement
     code = ("import sys\n"
             f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "import numpy as np\n"
             "import oracles\n"
             "from htlab.imagecore import Rng\n"
             "from htlab.nn import Conv2d\n"
@@ -206,9 +214,14 @@ def test_conv_input_gradient_is_the_tensordot_bytes_at_program_shapes(
             "    conv.forward(x)\n"
             "    g = rng.gaussians(b * co * n * n).reshape(b, co, n, n)\n"
             "    want = oracles.conv3x3_backward_tensordot(x, w, g)[0]\n"
-            "    if conv.backward(g).tobytes() != want.tobytes():\n"
-            "        print((b, ci, co, n))\n")
-    assert _run_python(["-c", code], blas_threads, tmp_path) == ""
+            "    print(np.max(np.abs(conv.backward(g) - want)))\n")
+    diffs = [float(v) for v in
+             _run_python(["-c", code], blas_threads, tmp_path).split()]
+    assert len(diffs) == len(PROGRAM_CONVS)
+    if cli._build() == MEASURED_BUILD:
+        assert diffs == [0.0] * len(PROGRAM_CONVS)
+    else:
+        assert max(diffs) <= 1e-12
 
 
 @pytest.mark.parametrize("case", sorted(LARGE_WORK))

@@ -221,10 +221,6 @@ def cmd_halftone(args, argv):
 # ---------------------------------------------------------------------------
 # train
 
-_BOOL_WORDS = {"true": True, "yes": True, "1": True,
-               "false": False, "no": False, "0": False}
-
-
 def parse_config(text):
     """Line-based `key = value`; '#' lines are comments; unknown keys and
     unparseable values are hard errors."""
@@ -244,9 +240,7 @@ def parse_config(text):
                              f"{key!r}")
         kind = schema[key]
         try:
-            if kind is bool:
-                out[key] = _BOOL_WORDS[value.lower()]
-            elif kind is int:
+            if kind is int:
                 out[key] = int(value)
             elif kind is float:
                 out[key] = float(value)
@@ -254,7 +248,7 @@ def parse_config(text):
                     raise ValueError(value)
             else:
                 out[key] = value
-        except (ValueError, KeyError):
+        except ValueError:
             raise UsageError(f"config line {lineno}: bad value {value!r} "
                              f"for key {key!r}") from None
     return out

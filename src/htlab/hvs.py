@@ -55,12 +55,19 @@ def build_kernel(cfg):
 
 
 def _unit_sum(k):
-    """k scaled to sum 1, read-only."""
-    k = k / k.sum()
+    """k scaled to sum 1, read-only; the one check of every built kernel,
+    which must be finite with a positive sum."""
+    total = k.sum()
+    if not (np.isfinite(total) and total > 0 and np.isfinite(k).all()):
+        raise ValueError("HVS kernel is not finite with a positive sum")
+    k = k / total
     k.flags.writeable = False
     return k
 
 
+# a sigma or scale out of range yields a kernel _unit_sum refuses, so the
+# non-finite steps on the way to it need no warning
+@np.errstate(divide="ignore", invalid="ignore")
 def _gaussian_samples(size, sigma):
     """The unnormalized 1-D Gaussian both Gaussian builders start from."""
     if size % 2 != 1 or not 1 <= size <= _NASANEN_GRID:
@@ -94,6 +101,8 @@ def nasanen_frequency_response(f_cpd):
     return gain * np.exp(-np.asarray(f_cpd, dtype=np.float64)
                          / (c["c"] * np.log(lum) + c["d"]))
 
+
+@np.errstate(invalid="ignore")
 def _cpd_grid(n, scale):
     # one sample subtends 180 / (pi * S) degrees, so a digital frequency of
     # rho cycles/sample is rho * pi * S / 180 cycles/degree

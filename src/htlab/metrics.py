@@ -148,18 +148,12 @@ def _ssim_from_stats(mu_x, sxx, sxy, contone, c1, c2):
 def _window_stats(h, c, cfg):
     """Gaussian-window sums (mu_h, E[h^2], E[hc]), the contone's
     _contone_terms, and its local contrast sigma_c = min(gain * windowed
-    std of c, 1).
-
-    A binary h (0s and 1s) squares to its own bytes, so E[h^2] is then the
-    mu_h array itself, with the bytes a fifth correlation would give."""
+    std of c, 1)."""
     g = gaussian_factor(cfg.ssim_window, cfg.ssim_sigma)
     contone = _contone_terms(c, cfg)
     sigma_c = np.minimum(cfg.contrast_gain * contone[3], 1.0)
-    mu_h = correlate_separable(h, g)
-    hh = h * h
-    binary = np.array_equal(hh.view(np.uint64), h.view(np.uint64))
-    shh = mu_h if binary else correlate_separable(hh, g)
-    return mu_h, shh, correlate_separable(h * c, g), contone, sigma_c
+    return (correlate_separable(h, g), correlate_separable(h * h, g),
+            correlate_separable(h * c, g), contone, sigma_c)
 
 
 def _cssim_map(sigma_c, ssim_map):

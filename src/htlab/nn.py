@@ -1,40 +1,36 @@
 """Minimal fully-convolutional network with hand-written backprop.
 
-Float64 tensors are (batch, channels, height, width) numpy arrays. The policy
-network maps a 2-channel input (contone + noise) through an input conv, B
-residual blocks (conv-ReLU-conv plus identity skip) and an output conv to a
-single channel, finished by a pixel-wise sigmoid. 3x3 kernels, stride 1,
-zero padding 1 everywhere, so spatial dims never change.
+The policy network maps a float64 (batch, channels, height, width) input
+of 2 channels (contone + noise) through an input conv, B residual blocks
+(conv-ReLU-conv plus identity skip) and an output conv to a single
+channel, finished by a pixel-wise sigmoid. 3x3 kernels, stride 1, zero
+padding 1 everywhere, so spatial dims never change.
 
-Conv2d works in a flat-shift layout. It pads a batch once into a
-channels-last buffer (B, H+3, W+2, C) and reads it as one (rows, C) matrix.
-Each of the 9 taps is then one GEMM of a contiguous block of rows with the
-tap's weight slice, accumulated into an output buffer of the same layout,
-and the padding columns are cropped at the end. The input gradient
-scatters back through the same blocks; the weight gradient contracts the
-upstream gradient with each tap's (B*H*W, Cin) window. Every product keeps
-the operand orientation and summation order of a per-tap tensordot. The
+Inside the network an activation has one layout: a zero-padded
+channels-last buffer (B, H+3, W+2, C) with the image at [:, 1:H+1, 1:W+1]
+and zeros everywhere else (the padding ring). Each layer reads and returns
+such buffers, so one layer's output is the next one's input as it stands;
+the network converts layouts only at its two edges. Conv2d reads a buffer
+as one (rows, C) matrix: each of the 9 taps is one GEMM of a contiguous
+block of rows with the tap's weight slice, accumulated into a fresh buffer
+of the same layout, and the input gradient scatters back through the same
+blocks. The weight gradient contracts the upstream gradient with each
+tap's (B*H*W, Cin) window. Every product keeps the operand orientation and
+summation order of a per-tap tensordot, and the bias gradient sums a
+C-contiguous (B, C, H, W) copy, since numpy reduces in memory order. The
 tests hold the forward, weight and bias gradients byte-identical to that
 form. The input gradient is byte-identical to it at the shapes the program
 runs (8- and 32-channel layers at 32^2, 64^2 and 256^2, listed in the
 tests) on the build it was measured on, numpy 2.4.6 with OpenBLAS 0.3.31;
 BLAS picks its kernel by problem size, and at other shapes (Cin = 4 into
-16 or 32 channels, for one) the two differ by up to about 3e-14. Forward
-and backward return C-contiguous (B, C, H, W) arrays: numpy reduces in
-memory order, so the layout of an array fixes the bytes of the sums taken
-over it downstream.
+16 or 32 channels, for one) the two differ by up to about 3e-14.
 
-A warm training step allocates no scratch. Each Conv2d keeps its padded
-input (backward needs it) and rewrites only its interior; every other
-buffer (the output accumulator, the per-tap GEMM product, the padded
-upstream gradient, the input-gradient accumulator and the weight-gradient
-window and product) lives in a Workspace that the layers of one
-PolicyNetwork share, since none of them outlives the call that fills it.
-A forward-only call (train=False, as inference runs) keeps nothing for
-backward: its padded inputs are workspace scratch too, and backward must
-wait for the next training forward. A workspace holds one input geometry
-at a time. Arrays handed to callers are always fresh copies, never views
-of scratch. A standalone Conv2d owns its workspace.
+A training forward keeps a reference to each layer's input (backward needs
+it); a forward-only call (train=False, as inference runs) keeps nothing,
+and backward must wait for the next training forward. The per-tap GEMM
+products and the weight-gradient scratch live in a Workspace that the
+layers of one PolicyNetwork share, since none of them outlives the call
+that fills it; a workspace holds one input geometry at a time.
 
 Gradients are exact analytic transposes of the forward ops; training injects
 an upstream dL/dp at the sigmoid output and backpropagates to every weight.
@@ -60,13 +56,13 @@ class Parameter:
 
 
 class Workspace:
-    """Scratch arrays of the Conv2d layers of one network.
+    """Scratch arrays of the Conv2d layers of one network: per-tap GEMM
+    products and weight-gradient windows and products.
 
     No value in them outlives the forward or backward call that wrote it,
     so every layer of a network can share one set. Arrays are keyed by role
-    and shape and allocated zero-filled once; only those of the latest
-    input geometry (B, H, W) are kept, which bounds the memory to one
-    geometry's worth.
+    and shape and allocated once; only those of the latest input geometry
+    (B, H+3, W+2) are kept, which bounds the memory to one geometry's worth.
     """
 
     def __init__(self):
@@ -74,8 +70,7 @@ class Workspace:
         self._arrays = {}
 
     def get(self, geometry, role, shape):
-        """The array for (role, shape), zero-filled when first allocated;
-        switching geometry drops every array of the previous one."""
+        """The array for (role, shape); a new geometry drops the rest."""
         if geometry != self._geometry:
             self._geometry, self._arrays = geometry, {}
         arr = self._arrays.get((role, shape))
@@ -84,104 +79,95 @@ class Workspace:
         return arr
 
 
+def _zero_ring(buf):
+    """Zero everything of a padded (B, H+3, W+2, C) buffer outside
+    [:, 1:H+1, 1:W+1]; returns buf."""
+    buf[:, 0] = 0.0
+    buf[:, -2:] = 0.0
+    buf[:, :, 0] = 0.0
+    buf[:, :, -1] = 0.0
+    return buf
+
+
 class Conv2d:
-    """3x3, stride 1, zero-pad 1, computed as flat shifts: each tap is one
-    GEMM of a contiguous row block of the padded channels-last input with
-    that tap's (Cin, Cout) weight slice.
+    """3x3, stride 1, zero-pad 1, computed as flat shifts on padded
+    channels-last buffers (see the module docstring).
 
-    A batch (B, H, W) lives in a buffer (B, H+3, W+2, C) read as its
-    (rows, C) view: padded pixel (y, x) of image i is row
-    (i*(H+3) + y)*(W+2) + x, and output pixel (y, x) sits at the row of
-    padded pixel (y, x), so tap (ki, kj) of the whole batch is the block of
-    n = (B*(H+3) - 3)*(W+2) rows that starts ki*(W+2) + kj rows further on.
-    The extra bottom row keeps the last image's block inside the buffer.
-    Rows of a block that fall in padding columns or between images are
-    computed and never read.
-
-    A training forward pads into the layer's own buffer, kept for
-    backward; every other buffer comes from the workspace (see the module
-    docstring). Forward and backward return fresh C-contiguous
-    (B, C, H, W) arrays.
+    A buffer (B, H+3, W+2, C) is read as its (rows, C) view: padded pixel
+    (y, x) of image i is row (i*(H+3) + y)*(W+2) + x. Tap (ki, kj) of the
+    whole batch is the block of n = (B*(H+3) - 3)*(W+2) rows that starts
+    ki*(W+2) + kj rows further on; its product with the tap's weights is
+    added W+3 rows (one padded row and column) on, so that each output
+    pixel lands at its own padded position. The extra bottom row keeps the
+    last image's block inside the buffer. Rows of a block that fall in the
+    padding are computed, never read, and zeroed in the returned buffer.
     """
 
-    def __init__(self, c_in, c_out, workspace=None):
+    def __init__(self, c_in, c_out, workspace):
         self.c_in = c_in
         self.c_out = c_out
         self.weight = Parameter(np.zeros((c_out, c_in, 3, 3)))
         self.bias = Parameter(np.zeros(c_out))
-        self._ws = Workspace() if workspace is None else workspace
+        self._ws = workspace
         self._xb = None
 
-    def forward(self, x, train=True):
-        b, c, hgt, wid = x.shape
+    def forward(self, xb, train=True):
+        """A padded (B, H+3, W+2, Cout) buffer from a padded input one;
+        train=False keeps nothing for backward."""
+        b, hp, wp, c = xb.shape
         if c != self.c_in:
             raise ValueError(f"expected {self.c_in} input channels, got {c}")
-        padded = (b, hgt + 3, wid + 2)
-        n = (b * (hgt + 3) - 3) * (wid + 2)
-        geometry = (b, hgt, wid)
-        # padded inputs are only ever written in their interior, so their
-        # padding stays zero
-        if not train:
-            self._xb = None
-            xb = self._ws.get(geometry, "xb", padded + (c,))
-        else:
-            if self._xb is None or self._xb.shape != padded + (c,):
-                self._xb = np.zeros(padded + (c,))
-            xb = self._xb
-        xb[:, 1:hgt + 1, 1:wid + 1] = x.transpose(0, 2, 3, 1)
+        self._xb = xb if train else None
+        n = (b * hp - 3) * wp
+        # "product" is overwritten whole by each np.dot
+        product = self._ws.get(xb.shape[:3], "product", (n, self.c_out))
         xrows = xb.reshape(-1, c)
-        # "acc" is set (here rows :n, the only rows read) at the start of
-        # every call; "product" is overwritten whole by each np.dot
-        out = self._ws.get(geometry, "acc", padded + (self.c_out,))
-        orows = out.reshape(-1, self.c_out)
-        product = self._ws.get(geometry, "product", (n, self.c_out))
-        orows[:n] = self.bias.value
+        out = np.empty((b, hp, wp, self.c_out))
+        acc = out.reshape(-1, self.c_out)[wp + 1:wp + 1 + n]
+        acc[...] = self.bias.value
         w = self.weight.value
         for ki in range(3):
             for kj in range(3):
-                at = ki * (wid + 2) + kj
+                at = ki * wp + kj
                 np.dot(xrows[at:at + n], w[:, :, ki, kj].T, out=product)
-                orows[:n] += product
-        # copy() always copies: a view of scratch that happens to be
-        # contiguous (B = H = 1) must not reach the caller
-        return out[:, :hgt, :wid].transpose(0, 3, 1, 2).copy()
+                acc += product
+        return _zero_ring(out)
 
     def backward(self, dout):
+        """dL/dinput as a padded buffer, from a padded upstream gradient;
+        accumulates the weight and bias gradients."""
         xb = self._xb
         if xb is None:
             raise RuntimeError("backward needs a training forward first")
-        padded = xb.shape[:3]
-        b, hgt, wid = padded[0], padded[1] - 3, padded[2] - 2
-        n = (b * (hgt + 3) - 3) * (wid + 2)
-        geometry = (b, hgt, wid)
-        self.bias.grad += dout.sum(axis=(0, 2, 3))
-        w = self.weight.value
-        # dW contracts over (B, H, W) in that order, as one (Cout, B*H*W)
-        # by (B*H*W, Cin) product per tap, so padding rows never enter its
-        # sums
-        dout_t = dout.transpose(1, 0, 2, 3).reshape(self.c_out, -1)
-        # "dpad" is only ever written in its interior, so its padding stays
-        # zero; "acc" is zeroed here; "window", "dw" and "product" are
-        # overwritten whole before each read
-        dpad = self._ws.get(geometry, "dpad", padded + (self.c_out,))
-        drows = dpad.reshape(-1, self.c_out)
-        dpad[:, :hgt, :wid] = dout.transpose(0, 2, 3, 1)
-        dxb = self._ws.get(geometry, "acc", padded + (self.c_in,))
-        dxb[...] = 0.0
-        dxrows = dxb.reshape(-1, self.c_in)
+        b, hp, wp, _ = xb.shape
+        hgt, wid = hp - 3, wp - 2
+        n = (b * hp - 3) * wp
+        geometry = xb.shape[:3]
+        inner = dout[:, 1:hgt + 1, 1:wid + 1]
+        # the bias and weight gradients sum over (B, H, W) in the memory
+        # order of the per-tap form: of a (B, C, H, W) array, and of one
+        # (Cout, B*H*W) by (B*H*W, Cin) product per tap
+        self.bias.grad += np.ascontiguousarray(
+            np.moveaxis(inner, 3, 1)).sum(axis=(0, 2, 3))
+        dout_t = np.moveaxis(inner, 3, 0).reshape(self.c_out, -1)
+        # "window", "dw" and "product" are overwritten whole before each read
         window = self._ws.get(geometry, "window", (b, hgt, wid, self.c_in))
         wrows = window.reshape(-1, self.c_in)
         dw = self._ws.get(geometry, "dw", (self.c_out, self.c_in))
         product = self._ws.get(geometry, "product", (n, self.c_in))
+        drows = dout.reshape(-1, self.c_out)[wp + 1:wp + 1 + n]
+        dx = np.zeros(xb.shape)
+        dxrows = dx.reshape(-1, self.c_in)
+        w = self.weight.value
         for ki in range(3):
             for kj in range(3):
                 window[...] = xb[:, ki:ki + hgt, kj:kj + wid]
                 np.dot(dout_t, wrows, out=dw)
                 self.weight.grad[:, :, ki, kj] += dw
-                at = ki * (wid + 2) + kj
-                np.dot(drows[:n], w[:, :, ki, kj], out=product)
+                at = ki * wp + kj
+                np.dot(drows, w[:, :, ki, kj], out=product)
                 dxrows[at:at + n] += product
-        return dxb[:, 1:hgt + 1, 1:wid + 1].transpose(0, 3, 1, 2).copy()
+        return _zero_ring(dx)
 
     def params(self):
         return [self.weight, self.bias]
@@ -190,7 +176,7 @@ class Conv2d:
 class ResidualBlock:
     """x + conv2(relu(conv1(x))); no normalization layers."""
 
-    def __init__(self, channels, workspace=None):
+    def __init__(self, channels, workspace):
         self.conv1 = Conv2d(channels, channels, workspace)
         self.conv2 = Conv2d(channels, channels, workspace)
         self._relu_mask = None
@@ -246,6 +232,20 @@ class PolicyNetwork:
         for p in self.params():
             p.grad[...] = 0.0
 
+    @staticmethod
+    def _pad(x):
+        """A (B, C, H, W) batch as a padded channels-last buffer."""
+        b, c, hgt, wid = x.shape
+        buf = np.zeros((b, hgt + 3, wid + 2, c))
+        buf[:, 1:hgt + 1, 1:wid + 1] = x.transpose(0, 2, 3, 1)
+        return buf
+
+    @staticmethod
+    def _crop(buf):
+        """The C-contiguous (B, C, H, W) image of a padded buffer: numpy
+        reduces in memory order, so callers' sums depend on the layout."""
+        return np.ascontiguousarray(buf[:, 1:-2, 1:-1].transpose(0, 3, 1, 2))
+
     def forward(self, x, train=True):
         """Probabilities in (0, 1), shape (B, 1, H, W). train=False runs
         forward only and keeps nothing for backward."""
@@ -255,10 +255,10 @@ class PolicyNetwork:
         # the finite check is the one report of a diverged net; exp(-logits)
         # overflowing to inf gives the exact limit p = 0
         with np.errstate(over="ignore", invalid="ignore"):
-            y = self.conv_in.forward(x, train)
+            y = self.conv_in.forward(self._pad(x), train)
             for blk in self.res:
                 y = blk.forward(y, train)
-            logits = self.conv_out.forward(y, train)
+            logits = self._crop(self.conv_out.forward(y, train))
             if not np.all(np.isfinite(logits)):
                 raise FloatingPointError("non-finite logits")
             p = 1.0 / (1.0 + np.exp(-logits))
@@ -271,11 +271,10 @@ class PolicyNetwork:
         p = self._p
         if p is None:
             raise RuntimeError("backward needs a training forward first")
-        dlogits = dp * p * (1.0 - p)
-        dy = self.conv_out.backward(dlogits)
+        dy = self.conv_out.backward(self._pad(dp * p * (1.0 - p)))
         for blk in reversed(self.res):
             dy = blk.backward(dy)
-        return self.conv_in.backward(dy)
+        return self._crop(self.conv_in.backward(dy))
 
 
 class Adam:

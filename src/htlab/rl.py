@@ -148,7 +148,6 @@ class TrainConfig:
     estimator: str = "local_expectation"
     seed: int = 0
     levels: int = 2
-    multitone_anisotropy: bool = False
     log_every: int = 100
     checkpoint_every: int = 0           # 0 means: final checkpoint only
     hvs_model: str = "nasanen"
@@ -231,7 +230,7 @@ def train_step(net, adam, dataset, cfg, rng, t):
     del ctx, signal
 
     l_as = math.nan
-    if cfg.w_a != 0.0 and (cfg.levels == 2 or cfg.multitone_anisotropy):
+    if cfg.w_a != 0.0 and cfg.levels == 2:
         xg = np.empty((b, 2, size, size))
         xg[:, 0] = rng.uniforms(b)[:, None, None]
         xg[:, 1] = rng.gaussians(b * size * size).reshape(b, size, size)

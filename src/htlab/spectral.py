@@ -55,11 +55,15 @@ def ring_partition(shape):
     if hgt < 1 or wid < 1:
         raise ValueError("shape must be positive")
     fy, fx = _signed_freqs(hgt), _signed_freqs(wid)
-    rho = np.sqrt(fy[:, None] ** 2.0 + fx[None, :] ** 2.0)
-    # radius 0 holds only DC (other bins have rho >= 1); rings index from 0
-    radii, dense, counts = np.unique(np.rint(rho).astype(np.int64),
-                                     return_inverse=True, return_counts=True)
-    arrays = (dense.reshape(hgt, wid) - 1, radii[1:], counts[1:])
+    radius = np.rint(np.sqrt(fy[:, None] ** 2.0 + fx[None, :] ** 2.0)) \
+        .astype(np.int64)
+    # members per integer radius; the radii that have any are the rings, and
+    # a running count of them is each radius's dense index. Radius 0 holds
+    # only DC (other bins have rho >= 1), so rings index from 0
+    counts = np.bincount(radius.ravel())
+    radii = np.flatnonzero(counts)
+    dense = np.cumsum(counts > 0) - 1
+    arrays = (dense[radius] - 1, radii[1:], counts[radii[1:]])
     for arr in arrays:
         arr.flags.writeable = False
     return RingPartition((hgt, wid), *arrays)

@@ -36,6 +36,22 @@ def natural_crop(size=64, seed=0):
     return np.clip(img, 0.02, 0.98)
 
 
+def pad(x):
+    """A (B, C, H, W) batch in the layout the network's layers pass along:
+    a zero-padded channels-last (B, H+3, W+2, C) buffer with the image at
+    [:, 1:H+1, 1:W+1]."""
+    b, c, hgt, wid = x.shape
+    buf = np.zeros((b, hgt + 3, wid + 2, c))
+    buf[:, 1:hgt + 1, 1:wid + 1] = np.moveaxis(x, 1, 3)
+    return buf
+
+
+def crop(buf):
+    """The C-contiguous (B, C, H, W) image of a padded channels-last
+    buffer."""
+    return np.ascontiguousarray(np.moveaxis(buf[:, 1:-2, 1:-1], 3, 1))
+
+
 def random_contone(rng, height, width):
     return rng.uniforms(height * width).reshape(height, width)
 

@@ -9,7 +9,12 @@ gradient estimators, so it enumerates the package's own reward and cast.
 
 conv3x3_forward_tensordot and conv3x3_backward_tensordot are not slow: they
 are the per-tap tensordot form nn.Conv2d used before its flat-shift layout,
-kept as the byte-for-byte reference that layout must reproduce.
+kept as the byte-for-byte reference that layout must reproduce;
+policy_network_tensordot composes them into a whole PolicyNetwork pass in
+(B, C, H, W) arrays, the reference for the network's padded channels-last
+activations.
+ring_partition_unique is the np.unique form of spectral.ring_partition,
+which a bincount of the rounded radii replaced with the same arrays.
 correlate_2d_dense is the K^2-tap correlation every Gaussian window was
 taken with before the separable two-pass form replaced it, kept as the
 2-D reference that form must agree with to rounding.
@@ -251,6 +256,62 @@ def conv3x3_backward_tensordot(x, weight, dout):
                 dout, weight[:, :, ki, kj],
                 axes=([1], [0])).transpose(0, 3, 1, 2)
     return dxp[:, :, 1:-1, 1:-1], dweight, dbias
+
+
+def policy_network_tensordot(net, x, dp=None):
+    """A PolicyNetwork's pass built from the per-tap tensordot convolutions,
+    with every activation and gradient a C-contiguous (B, C, H, W) array:
+    p for input x, or, given an upstream dL/dp, (p, dL/dx, the parameter
+    gradients in net.params() order). Only the parameter values are read
+    from net."""
+
+    def conv_fwd(conv, a):
+        return conv3x3_forward_tensordot(a, conv.weight.value,
+                                         conv.bias.value)
+
+    convs = [(blk.conv1, blk.conv2) for blk in net.res]
+    acts = [x]                       # the input of every conv, in order
+    y = conv_fwd(net.conv_in, x)
+    masks = []
+    for conv1, conv2 in convs:
+        h = conv_fwd(conv1, y)
+        masks.append(h > 0)
+        acts += [y, h * masks[-1]]
+        y = y + conv_fwd(conv2, acts[-1])
+    acts.append(y)
+    logits = conv_fwd(net.conv_out, y)
+    p = 1.0 / (1.0 + np.exp(-logits))
+    if dp is None:
+        return p
+
+    def conv_bwd(conv, a, dout):
+        dx, dw, db = conv3x3_backward_tensordot(a, conv.weight.value, dout)
+        grads[id(conv)] = (dw, db)
+        return np.ascontiguousarray(dx)
+
+    grads = {}
+    dy = conv_bwd(net.conv_out, acts[-1], dp * p * (1.0 - p))
+    for k in reversed(range(len(convs))):
+        conv1, conv2 = convs[k]
+        dr = conv_bwd(conv2, acts[2 + 2 * k], dy) * masks[k]
+        dy = dy + conv_bwd(conv1, acts[1 + 2 * k], dr)
+    dx = conv_bwd(net.conv_in, x, dy)
+    order = [net.conv_in] + [c for pair in convs for c in pair] \
+        + [net.conv_out]
+    return p, dx, [g for conv in order for g in grads[id(conv)]]
+
+
+def ring_partition_unique(shape):
+    """(ring_index, radii, counts) of spectral.ring_partition as np.unique
+    gives them: the sorted distinct rounded radii, each bin's dense index
+    among them and their member counts, with the DC radius 0 dropped."""
+    hgt, wid = shape
+    fy = ((np.arange(hgt) + hgt // 2) % hgt) - hgt // 2
+    fx = ((np.arange(wid) + wid // 2) % wid) - wid // 2
+    rho = np.sqrt(fy[:, None] ** 2.0 + fx[None, :] ** 2.0)
+    radii, dense, counts = np.unique(np.rint(rho).astype(np.int64),
+                                     return_inverse=True, return_counts=True)
+    return dense.reshape(hgt, wid) - 1, radii[1:], counts[1:]
 
 
 def delta_cssim_map_per_offset(ctx, delta):

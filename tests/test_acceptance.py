@@ -36,7 +36,7 @@ from htlab.imagecore import Rng, constant_image, save_pgm
 from htlab.metrics import MetricConfig, cssim, delta_map, hvs_mse, psnr, ssim
 from htlab.metrics import reward as build_reward
 from htlab.multitone import infer_multitone
-from htlab.nn import Conv2d, PolicyNetwork
+from htlab.nn import Conv2d, PolicyNetwork, Workspace
 from htlab.rl import (TrainConfig, coma_signal, infer_halftone, le_signal,
                       reinforce_signal, sample_actions, train_loop)
 from htlab.spectral import (anisotropy_db, anisotropy_loss,
@@ -141,10 +141,10 @@ def test_criterion_2_toggle_delta_exactness():
 # ---------------------------------------------------------------------------
 # criterion 3: gradient checks
 
-def _param_loss(module, param, values, x, g):
+def _param_loss(forward, param, values, x, g):
     keep = param.value.copy()
     param.value[...] = values
-    out = float(np.sum(module.forward(x) * g))
+    out = float(np.sum(forward(x) * g))
     param.value[...] = keep
     return out
 
@@ -154,20 +154,25 @@ def test_criterion_3_gradient_checks():
     started = time.time()
 
     rng = Rng(3000)
-    conv = Conv2d(2, 3)
+    conv = Conv2d(2, 3, Workspace())
     conv.weight.value[...] = rng.gaussians(conv.weight.value.size) \
         .reshape(conv.weight.value.shape) * 0.5
     conv.bias.value[...] = rng.gaussians(3) * 0.1
     x = rng.uniforms(2 * 5 * 5).reshape(1, 2, 5, 5)
     g = rng.gaussians(3 * 5 * 5).reshape(1, 3, 5, 5)
-    conv.forward(x)
-    dx = conv.backward(g)
+
+    def conv_forward(v):
+        # a layer reads and returns padded channels-last buffers
+        return helpers.crop(conv.forward(helpers.pad(v)))
+
+    conv_forward(x)
+    dx = helpers.crop(conv.backward(helpers.pad(g)))
     for param in (conv.weight, conv.bias):
         fd = oracles.fd_gradient(
-            lambda v: _param_loss(conv, param, v, x, g), param.value)
+            lambda v: _param_loss(conv_forward, param, v, x, g), param.value)
         scale = max(np.max(np.abs(fd)), 1e-10)
         assert np.max(np.abs(param.grad - fd)) / scale < 1e-4
-    fd_x = oracles.fd_gradient(lambda v: float(np.sum(conv.forward(v) * g)),
+    fd_x = oracles.fd_gradient(lambda v: float(np.sum(conv_forward(v) * g)),
                                x)
     assert np.max(np.abs(dx - fd_x)) / max(np.max(np.abs(fd_x)), 1e-10) < 1e-4
 
@@ -180,7 +185,8 @@ def test_criterion_3_gradient_checks():
     dxn = net.backward(gn)
     for param in net.params():
         fd = oracles.fd_gradient(
-            lambda v: _param_loss(net, param, v, xn, gn), param.value)
+            lambda v: _param_loss(net.forward, param, v, xn, gn),
+            param.value)
         scale = max(np.max(np.abs(fd)), 1e-10)
         assert np.max(np.abs(param.grad - fd)) / scale < 1e-4
     fd_xn = oracles.fd_gradient(

@@ -488,12 +488,10 @@ class TestHalftoneOutputs:
 
 
 class TestConfigParsing:
-    def test_types_comments_and_bools(self):
+    def test_types_and_comments(self):
         out = cli.parse_config("# comment\n\niterations = 12\n"
-                               "w_s = 0.5\nestimator = coma\n"
-                               "multitone_anisotropy = yes\n")
-        assert out == {"iterations": 12, "w_s": 0.5, "estimator": "coma",
-                       "multitone_anisotropy": True}
+                               "w_s = 0.5\nestimator = coma\n")
+        assert out == {"iterations": 12, "w_s": 0.5, "estimator": "coma"}
 
     def test_unknown_key_names_key_and_line(self):
         with pytest.raises(cli.UsageError, match=r"line 2.*'momentum'"):
@@ -863,6 +861,19 @@ class TestDumpKernel:
     def test_bad_size_is_usage(self, tmp_path):
         assert cli.main(["dump-kernel", "--size", "4", "--output",
                          str(tmp_path / "k.csv")]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--model", "gaussian", "--sigma", "nan"],
+        # sigma^2 underflows to 0, so the centre tap is 0/0
+        ["--model", "gaussian", "--sigma", "1e-200"],
+        ["--scale", "inf"]])
+    def test_non_finite_kernel_is_usage(self, tmp_path, capsys, flags):
+        out = tmp_path / "k.csv"
+        assert cli.main(["dump-kernel"] + flags + ["--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ")
+        assert "not finite" in captured.err
+        assert not out.exists()
 
 
 class TestManifestHelpers:

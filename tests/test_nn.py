@@ -5,7 +5,9 @@ The convolution convention (correlation, zero pad 1) is pinned with an
 impulse kernel; every analytic gradient is checked against central finite
 differences through the full forward pass, loss = sum(G * p). The
 flat-shift Conv2d must also reproduce, byte for byte, the per-tap tensordot
-form kept in oracles.
+form kept in oracles. Layers read and return padded channels-last buffers,
+so tests that call a Conv2d or ResidualBlock directly go through
+helpers.pad and helpers.crop.
 """
 
 import copy
@@ -36,11 +38,16 @@ def net_input(seed=1, size=5, batch=1):
 
 def seeded_conv(c_in, c_out, seed=7):
     rng = Rng(seed)
-    conv = Conv2d(c_in, c_out)
+    conv = Conv2d(c_in, c_out, Workspace())
     conv.weight.value[...] = rng.gaussians(conv.weight.value.size) \
         .reshape(conv.weight.value.shape) * 0.3
     conv.bias.value[...] = rng.gaussians(c_out)
     return conv
+
+
+def unpadded(layer, x, train=True):
+    """A layer's forward on a (B, C, H, W) batch, as (B, C, H, W)."""
+    return helpers.crop(layer.forward(helpers.pad(x), train))
 
 
 def gaussians(seed, shape):
@@ -66,21 +73,21 @@ class TestConv2d:
     def test_impulse_pins_correlation_convention(self):
         # weight at kernel cell (0, 1) reads the pixel one row up:
         # out[y, x] = in[y-1, x], zero at the top border
-        conv = Conv2d(1, 1)
+        conv = Conv2d(1, 1, Workspace())
         conv.weight.value[0, 0, 0, 1] = 1.0
         x = np.arange(12, dtype=np.float64).reshape(1, 1, 3, 4)
-        out = conv.forward(x)
+        out = unpadded(conv, x)
         assert np.array_equal(out[0, 0, 0], np.zeros(4))
         assert np.array_equal(out[0, 0, 1:], x[0, 0, :2])
 
     def test_forward_matches_windowed_sum_oracle(self):
         rng = Rng(3)
-        conv = Conv2d(2, 3)
+        conv = Conv2d(2, 3, Workspace())
         conv.weight.value[...] = rng.gaussians(conv.weight.value.size) \
             .reshape(conv.weight.value.shape)
         conv.bias.value[...] = rng.gaussians(3)
         x = rng.uniforms(2 * 6 * 7).reshape(1, 2, 6, 7)
-        out = conv.forward(x)
+        out = unpadded(conv, x)
         for o in range(3):
             want = np.full((6, 7), conv.bias.value[o])
             for i in range(2):
@@ -90,19 +97,20 @@ class TestConv2d:
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Conv2d(2, 1).forward(np.zeros((1, 3, 4, 4)))
+            Conv2d(2, 1, Workspace()).forward(
+                helpers.pad(np.zeros((1, 3, 4, 4))))
 
     def test_gradients_match_finite_differences(self):
         rng = Rng(5)
-        conv = Conv2d(2, 2)
+        conv = Conv2d(2, 2, Workspace())
         conv.weight.value[...] = rng.gaussians(conv.weight.value.size) \
             .reshape(conv.weight.value.shape) * 0.5
         conv.bias.value[...] = rng.gaussians(2) * 0.1
         x = rng.uniforms(2 * 4 * 4).reshape(1, 2, 4, 4)
         g = rng.gaussians(2 * 4 * 4).reshape(1, 2, 4, 4)
 
-        out = conv.forward(x)
-        dx = conv.backward(g)
+        out = conv.forward(helpers.pad(x))
+        dx = helpers.crop(conv.backward(helpers.pad(g)))
 
         def check(param, array):
             fd = oracles.fd_gradient(
@@ -113,7 +121,7 @@ class TestConv2d:
         check(conv.weight, conv.weight.value)
         check(conv.bias, conv.bias.value)
         fd_x = oracles.fd_gradient(
-            lambda v: float(np.sum(conv.forward(v) * g)), x)
+            lambda v: float(np.sum(unpadded(conv, v) * g)), x)
         assert np.max(np.abs(dx - fd_x)) < 1e-6 * max(np.max(np.abs(fd_x)),
                                                       1.0)
 
@@ -121,7 +129,7 @@ class TestConv2d:
     def _loss(conv, param, values, x, g):
         keep = param.value.copy()
         param.value[...] = values
-        out = float(np.sum(conv.forward(x) * g))
+        out = float(np.sum(unpadded(conv, x) * g))
         param.value[...] = keep
         return out
 
@@ -137,22 +145,29 @@ class TestConv2d:
     def test_flat_shift_is_byte_equal_to_tensordot(self, batch, c_in, c_out,
                                                    hgt, wid, train):
         rng = Rng(7)
-        conv = Conv2d(c_in, c_out)
+        conv = Conv2d(c_in, c_out, Workspace())
         conv.weight.value[...] = rng.gaussians(conv.weight.value.size) \
             .reshape(conv.weight.value.shape) * 0.3
         conv.bias.value[...] = rng.gaussians(c_out)
         x = rng.gaussians(batch * c_in * hgt * wid).reshape(
             batch, c_in, hgt, wid)
-        out = conv.forward(x, train)
+        out = conv.forward(helpers.pad(x), train)
         got, want = [out], [oracles.conv3x3_forward_tensordot(
             x, conv.weight.value, conv.bias.value)]
         if train:
             g = rng.gaussians(batch * c_out * hgt * wid).reshape(
                 batch, c_out, hgt, wid)
-            got += [conv.backward(g), conv.weight.grad, conv.bias.grad]
+            got += [conv.backward(helpers.pad(g)), conv.weight.grad,
+                    conv.bias.grad]
             want += oracles.conv3x3_backward_tensordot(
                 x, conv.weight.value, g)
         for name, a, b in zip(("out", "dx", "dW", "dbias"), got, want):
+            if name in ("out", "dx"):
+                # a padded channels-last buffer whose ring is zero
+                assert a.flags.c_contiguous, name
+                assert helpers.pad(helpers.crop(a)).tobytes() == \
+                    a.tobytes(), name
+                a = helpers.crop(a)
             assert a.shape == b.shape, name
             assert a.flags.c_contiguous, name
             assert a.tobytes() == b.tobytes(), name
@@ -160,25 +175,25 @@ class TestConv2d:
 
 class TestResidualBlock:
     def test_zero_second_conv_is_identity(self):
-        blk = ResidualBlock(3)
+        blk = ResidualBlock(3, Workspace())
         rng = Rng(7)
         blk.conv1.weight.value[...] = rng.gaussians(
             blk.conv1.weight.value.size).reshape(3, 3, 3, 3)
         x = rng.uniforms(3 * 5 * 5).reshape(1, 3, 5, 5)
-        assert np.array_equal(blk.forward(x), x)
+        assert np.array_equal(unpadded(blk, x), x)
 
     def test_gradients_match_finite_differences(self):
         rng = Rng(9)
-        blk = ResidualBlock(2)
+        blk = ResidualBlock(2, Workspace())
         for p in blk.params():
             p.value[...] = rng.gaussians(p.value.size).reshape(
                 p.value.shape) * 0.3
         x = rng.uniforms(2 * 4 * 4).reshape(1, 2, 4, 4)
         g = rng.gaussians(2 * 4 * 4).reshape(1, 2, 4, 4)
-        blk.forward(x)
-        dx = blk.backward(g)
+        blk.forward(helpers.pad(x))
+        dx = helpers.crop(blk.backward(helpers.pad(g)))
         fd_x = oracles.fd_gradient(
-            lambda v: float(np.sum(blk.forward(v) * g)), x)
+            lambda v: float(np.sum(unpadded(blk, v) * g)), x)
         assert np.max(np.abs(dx - fd_x)) < 1e-6 * max(np.max(np.abs(fd_x)),
                                                       1.0)
 
@@ -266,9 +281,9 @@ class TestWorkspace:
         assert p1.tobytes() == keep_p.tobytes()
         assert dx1.tobytes() == keep_dx.tobytes()
         conv = seeded_conv(2, 3)
-        out1 = conv.forward(x1)
+        out1 = conv.forward(helpers.pad(x1))
         keep = out1.copy()
-        conv.forward(x2)
+        conv.forward(helpers.pad(x2))
         assert out1.tobytes() == keep.tobytes()
 
     def test_shape_changes_give_the_bytes_of_fresh_networks(self):
@@ -292,8 +307,8 @@ class TestWorkspace:
                                                 ((1, 2, 1, 6), 1),
                                                 ((1, 2, 1, 1), 1)])
     def test_one_row_batches_match_private_workspaces(self, shape, channels):
-        # with B = H = 1 the cropped scratch is itself contiguous, so only
-        # an unconditional copy keeps it from reaching the caller
+        # one-row batches are where a view of scratch would be contiguous;
+        # no returned array may share memory with a workspace
         def fresh():
             net = PolicyNetwork(channels=channels, blocks=2)
             net.init_params(Rng(61), std=0.5)
@@ -305,8 +320,9 @@ class TestWorkspace:
             conv._ws = Workspace()
         for seed in (65, 67):
             assert train_pass(net, x, seed) == train_pass(private, x, seed)
-        y = net.conv_in.forward(x)
-        dx = net.conv_in.backward(gaussians(69, y.shape))
+        y = net.conv_in.forward(helpers.pad(x))
+        dx = net.conv_in.backward(
+            helpers.pad(gaussians(69, helpers.crop(y).shape)))
         scratch = list(net.conv_in._ws._arrays.values())
         assert scratch
         assert not any(np.shares_memory(out, arr)
@@ -320,16 +336,18 @@ class TestWorkspace:
         other = tiny_net(channels=3, blocks=2)
         assert len(workspaces(net)) == len(workspaces(other)) == 1
         assert workspaces(net) != workspaces(other)
-        assert Conv2d(3, 3)._ws is not Conv2d(3, 3)._ws
+        assert Conv2d(3, 3, Workspace())._ws is not \
+            Conv2d(3, 3, Workspace())._ws
 
     def test_warm_calls_allocate_only_what_they_return(self):
-        # beyond the returned array (and backward's one transposed copy of
-        # dout) a warm call may allocate only Python objects and the
+        # beyond the returned array (and backward's copies of dout's
+        # interior, one at a time) a warm call may allocate only Python
+        # objects and the
         # (Cin, Cout) weight slices np.dot copies, a few KiB
         small = 4 * 1024
         conv = seeded_conv(8, 8)
-        x = gaussians(57, (8, 8, 32, 32))
-        dout = gaussians(59, (8, 8, 32, 32))
+        x = helpers.pad(gaussians(57, (8, 8, 32, 32)))
+        dout = helpers.pad(gaussians(59, (8, 8, 32, 32)))
         conv.forward(x, train=False)
         conv.forward(x)
         conv.backward(dout)

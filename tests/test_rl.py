@@ -253,6 +253,9 @@ class TestTrainConfig:
         {"blocks": -1},
         {"log_every": 0},
         {"checkpoint_every": -1},
+        # kernels that are not finite: sigma^2 underflows to 0, and S = inf
+        {"hvs_model": "gaussian", "hvs_sigma": 1e-200},
+        {"hvs_scale": float("inf")},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):

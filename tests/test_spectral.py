@@ -99,6 +99,17 @@ class TestRingPartition:
         with pytest.raises(ValueError):
             ring_partition((0, 4))
 
+    @pytest.mark.parametrize("shape", [
+        (1, 1), (1, 7), (7, 1), (2, 2), (3, 5), (37, 37), (64, 48),
+        (255, 256), (1000, 3), (256, 256)])
+    def test_equals_the_unique_form(self, shape):
+        part = ring_partition(shape)
+        got = (part.ring_index, part.radii, part.counts)
+        for a, b in zip(got, oracles.ring_partition_unique(shape)):
+            assert a.dtype == b.dtype
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
 
 class TestRapsd:
     def test_crafted_two_member_ring_anisotropy_is_two(self):

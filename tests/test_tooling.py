@@ -1,7 +1,8 @@
 """Repository hygiene: the library imports only what it declares and starts
 no threads, src holds no code that only tests reach, and neither the CLI's
 outputs nor image-scale inference and draws depend on how many threads BLAS
-runs.
+runs; the convolutions and the whole policy network keep the bytes of
+their per-tap tensordot reference.
 
 numpy is htlab's one runtime dependency. scipy and pytest-benchmark may be
 installed next to it, but nothing declares them, so src/ must not use them.
@@ -202,24 +203,78 @@ def test_conv_input_gradient_is_the_tensordot_bytes_at_program_shapes(
     code = ("import sys\n"
             f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
             "import numpy as np\n"
+            "import helpers\n"
             "import oracles\n"
             "from htlab.imagecore import Rng\n"
-            "from htlab.nn import Conv2d\n"
+            "from htlab.nn import Conv2d, Workspace\n"
             f"for b, ci, co, n in {PROGRAM_CONVS!r}:\n"
             "    rng = Rng(ci * co + n)\n"
-            "    conv = Conv2d(ci, co)\n"
+            "    conv = Conv2d(ci, co, Workspace())\n"
             "    w = conv.weight.value\n"
             "    w[...] = rng.gaussians(w.size).reshape(w.shape) * 0.3\n"
             "    x = rng.gaussians(b * ci * n * n).reshape(b, ci, n, n)\n"
-            "    conv.forward(x)\n"
+            "    conv.forward(helpers.pad(x))\n"
             "    g = rng.gaussians(b * co * n * n).reshape(b, co, n, n)\n"
             "    want = oracles.conv3x3_backward_tensordot(x, w, g)[0]\n"
-            "    print(np.max(np.abs(conv.backward(g) - want)))\n")
+            "    dx = helpers.crop(conv.backward(helpers.pad(g)))\n"
+            "    print(np.max(np.abs(dx - want)))\n")
     diffs = [float(v) for v in
              _run_python(["-c", code], blas_threads, tmp_path).split()]
     assert len(diffs) == len(PROGRAM_CONVS)
     if cli._build() == MEASURED_BUILD:
         assert diffs == [0.0] * len(PROGRAM_CONVS)
+    else:
+        assert max(diffs) <= 1e-12
+
+
+# the policy networks the program runs, as (channels, blocks, batch, size,
+# train): an 8x2 policy on the training crops, a 32x2 one on 64^2 crops,
+# and the 8x2 one's forward-only inference at image scale
+PROGRAM_NETS = [(8, 2, 8, 32, True), (32, 2, 2, 64, True),
+                (8, 2, 1, 256, False)]
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_policy_network_is_the_tensordot_bytes_at_program_shapes(
+        tmp_path, blas_threads):
+    # p and the parameter gradients must be the oracle's bytes everywhere;
+    # the input gradient, as for a single layer, on the measured build only
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "import numpy as np\n"
+            "import oracles\n"
+            "from htlab.imagecore import Rng\n"
+            "from htlab.nn import PolicyNetwork\n"
+            f"for ch, blocks, b, n, train in {PROGRAM_NETS!r}:\n"
+            "    net = PolicyNetwork(channels=ch, blocks=blocks)\n"
+            "    rng = Rng(ch + n)\n"
+            "    net.init_params(rng, std=0.1)\n"
+            "    for q in net.params():\n"
+            "        if q.value.ndim == 1:\n"
+            "            q.value[...] = rng.gaussians(q.value.size) * 0.1\n"
+            "    x = rng.uniforms(b * 2 * n * n).reshape(b, 2, n, n)\n"
+            "    if not train:\n"
+            "        want = oracles.policy_network_tensordot(net, x)\n"
+            "        p = net.forward(x, train=False)\n"
+            "        print(p.tobytes() == want.tobytes(), 0.0)\n"
+            "        continue\n"
+            "    dp = rng.gaussians(b * n * n).reshape(b, 1, n, n)\n"
+            "    p_want, dx_want, grads = oracles.policy_network_tensordot(\n"
+            "        net, x, dp)\n"
+            "    p = net.forward(x)\n"
+            "    net.zero_grad()\n"
+            "    dx = net.backward(dp)\n"
+            "    same = p.tobytes() == p_want.tobytes() and all(\n"
+            "        q.grad.tobytes() == g.tobytes()\n"
+            "        for q, g in zip(net.params(), grads))\n"
+            "    print(same, np.max(np.abs(dx - dx_want)))\n")
+    rows = [line.split() for line in
+            _run_python(["-c", code], blas_threads, tmp_path).splitlines()]
+    assert len(rows) == len(PROGRAM_NETS)
+    assert [same for same, _ in rows] == ["True"] * len(PROGRAM_NETS)
+    diffs = [float(diff) for _, diff in rows]
+    if cli._build() == MEASURED_BUILD:
+        assert diffs == [0.0] * len(PROGRAM_NETS)
     else:
         assert max(diffs) <= 1e-12
 

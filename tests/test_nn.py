@@ -336,8 +336,6 @@ class TestWorkspace:
         other = tiny_net(channels=3, blocks=2)
         assert len(workspaces(net)) == len(workspaces(other)) == 1
         assert workspaces(net) != workspaces(other)
-        assert Conv2d(3, 3, Workspace())._ws is not \
-            Conv2d(3, 3, Workspace())._ws
 
     def test_warm_calls_allocate_only_what_they_return(self):
         # beyond the returned array (and backward's copies of dout's

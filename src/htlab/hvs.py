@@ -136,25 +136,35 @@ def build_nasanen_kernel(size, scale):
 def convolve_same(img, kernel):
     """Same-size direct convolution with zero padding over the last two
     axes; leading axes are a batch. Every pixel sums its taps in row-major
-    order, so a stack gives each image the bytes it gets alone."""
+    order, so a stack gives each image the bytes it gets alone. A tap is
+    one contiguous slice of the flattened padded image, whose rows are
+    W + K - 1 long; the sum keeps that row length and is cropped at the
+    end."""
     img = np.asarray(img, dtype=np.float64)
     w = np.asarray(kernel, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] % 2 != 1:
         raise ValueError("kernel must be odd and square")
     k = w.shape[0]
     half = k // 2
+    lead = img.shape[:-2]
     rows, cols = img.shape[-2:]
     # convolution flips the kernel; every built-in kernel is centro-symmetric
     # but keep true convolution semantics for arbitrary weights
     wf = w[::-1, ::-1]
-    pad = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(half, half)] * 2)
-    out = np.zeros_like(img)
-    tap = np.empty_like(img)
-    for i in range(k):
-        for j in range(k):
-            np.multiply(pad[..., i:i + rows, j:j + cols], wf[i, j], out=tap)
-            out += tap
-    return out
+    stride = cols + 2 * half
+    pad = np.pad(img, [(0, 0)] * len(lead) + [(half, half)] * 2)
+    flat = pad.reshape(lead + (pad.shape[-2] * stride,))
+    # pixel (r, c) is element r*stride + c of the sum and of the slice of
+    # tap (i, j), which starts i*stride + j elements into the padded image
+    n = max(rows * stride - 2 * half, 0)
+    out = np.zeros(lead + (rows, stride))
+    acc = out.reshape(lead + (rows * stride,))[..., :n]
+    tap = np.empty(lead + (n,))
+    for i, j in np.ndindex(k, k):
+        at = i * stride + j
+        np.multiply(flat[..., at:at + n], wf[i, j], out=tap)
+        acc += tap
+    return np.ascontiguousarray(out[..., :cols])
 
 
 def correlate_separable(img, g):

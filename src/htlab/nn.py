@@ -11,24 +11,28 @@ channels-last buffer (B, H+3, W+2, C) with the image at [:, 1:H+1, 1:W+1]
 and zeros everywhere else (the padding ring). Each layer reads and returns
 such buffers, so one layer's output is the next one's input as it stands;
 the network converts layouts only at its two edges. Conv2d reads a buffer
-as one (rows, C) matrix: each of the 9 taps is one GEMM of a contiguous
-block of rows with the tap's weight slice, accumulated into a fresh buffer
-of the same layout, and the input gradient scatters back through the same
-blocks. The weight gradient contracts the upstream gradient with each
-tap's (B*H*W, Cin) window. Every product keeps the operand orientation and
-summation order of a per-tap tensordot, and the bias gradient sums a
-C-contiguous (B, C, H, W) copy, since numpy reduces in memory order. The
-tests hold the forward, weight and bias gradients byte-identical to that
-form. The input gradient is byte-identical to it at the shapes the program
-runs (8- and 32-channel layers at 32^2, 64^2 and 256^2, listed in the
-tests) on the build it was measured on, numpy 2.4.6 with OpenBLAS 0.3.31;
-BLAS picks its kernel by problem size, and at other shapes (Cin = 4 into
-16 or 32 channels, for one) the two differ by up to about 3e-14.
+as one (rows, C) matrix: each of the 9 taps is a GEMM of a contiguous run
+of rows with the tap's weights, accumulated into a fresh buffer of the same
+layout; the forward takes all 9 taps over one cache-sized block of rows at
+a time, and the input gradient scatters back through the same shifts over
+the whole batch. The weight gradient contracts the upstream gradient with
+each tap's (B*H*W, Cin) window. Every product keeps the operand
+orientation and summation order of a per-tap tensordot, and the bias
+gradient sums a C-contiguous (B, C, H, W) copy, since numpy reduces in
+memory order. BLAS picks its kernel by problem size, so the tests pin that
+form's bytes on numpy 2.4.6 with OpenBLAS 0.3.31, under 1 and 2 BLAS
+threads, only where they were measured: the forward at the program's layer
+shapes and across block boundaries, and the three gradients at the shapes
+the program runs (8- and 32-channel layers at 32^2, 64^2 and 256^2).
+Elsewhere the two agree to rounding: the input gradient at Cin = 4 into 16
+or 32 channels by up to about 3e-14, and a C -> 1 forward (a one-column
+product, whose rows BLAS groups by their place in the call) by up to about
+1e-16 relative, at 37x50 for every C from 8 to 128.
 
 A training forward keeps a reference to each layer's input (backward needs
 it); a forward-only call (train=False, as inference runs) keeps nothing,
-and backward must wait for the next training forward. The per-tap GEMM
-products and the weight-gradient scratch live in a Workspace that the
+and backward must wait for the next training forward. The tap weights, the
+GEMM products and the weight-gradient scratch live in a Workspace that the
 layers of one PolicyNetwork share, since none of them outlives the call
 that fills it; a workspace holds one input geometry at a time.
 
@@ -45,6 +49,10 @@ import numpy as np
 
 CHECKPOINT_MAGIC = b"HTNN"
 CHECKPOINT_VERSION = 1
+# a Conv2d.forward block is _BLOCK / max(Cin, Cout) rows (256 KiB of each
+# operand) rounded down to a power of two, so that it starts where BLAS's
+# row groups start; 2730 rows at 12 -> 1 moved bytes
+_BLOCK = 2 ** 15
 
 
 class Parameter:
@@ -56,8 +64,9 @@ class Parameter:
 
 
 class Workspace:
-    """Scratch arrays of the Conv2d layers of one network: per-tap GEMM
-    products and weight-gradient windows and products.
+    """Scratch arrays of the Conv2d layers of one network: the forward's
+    tap weights and block-sized GEMM products, and the backward's
+    whole-batch products and weight-gradient windows.
 
     No value in them outlives the forward or backward call that wrote it,
     so every layer of a network can share one set. Arrays are keyed by role
@@ -95,12 +104,14 @@ class Conv2d:
 
     A buffer (B, H+3, W+2, C) is read as its (rows, C) view: padded pixel
     (y, x) of image i is row (i*(H+3) + y)*(W+2) + x. Tap (ki, kj) of the
-    whole batch is the block of n = (B*(H+3) - 3)*(W+2) rows that starts
+    whole batch is the run of n = (B*(H+3) - 3)*(W+2) rows that starts
     ki*(W+2) + kj rows further on; its product with the tap's weights is
     added W+3 rows (one padded row and column) on, so that each output
     pixel lands at its own padded position. The extra bottom row keeps the
-    last image's block inside the buffer. Rows of a block that fall in the
+    last image's run inside the buffer. Rows of a run that fall in the
     padding are computed, never read, and zeroed in the returned buffer.
+    The forward cuts the n output rows into blocks (see _BLOCK), and each
+    block takes the bias, then the 9 taps' products of its own rows.
     """
 
     def __init__(self, c_in, c_out, workspace):
@@ -119,18 +130,22 @@ class Conv2d:
             raise ValueError(f"expected {self.c_in} input channels, got {c}")
         self._xb = xb if train else None
         n = (b * hp - 3) * wp
-        # "product" is overwritten whole by each np.dot
-        product = self._ws.get(xb.shape[:3], "product", (n, self.c_out))
+        rows = min(n, _BLOCK >> (max(c, self.c_out) - 1).bit_length())
+        # "taps" and "product" are overwritten whole before each read
+        taps = self._ws.get(xb.shape[:3], "taps", (3, 3, c, self.c_out))
+        taps[...] = self.weight.value.transpose(2, 3, 1, 0)
+        product = self._ws.get(xb.shape[:3], "product", (rows, self.c_out))
         xrows = xb.reshape(-1, c)
         out = np.empty((b, hp, wp, self.c_out))
         acc = out.reshape(-1, self.c_out)[wp + 1:wp + 1 + n]
-        acc[...] = self.bias.value
-        w = self.weight.value
-        for ki in range(3):
-            for kj in range(3):
-                at = ki * wp + kj
-                np.dot(xrows[at:at + n], w[:, :, ki, kj].T, out=product)
-                acc += product
+        for start in range(0, n, rows):
+            block = acc[start:start + rows]
+            prod = product[:len(block)]
+            block[...] = self.bias.value
+            for ki, kj in np.ndindex(3, 3):
+                at = start + ki * wp + kj
+                np.matmul(xrows[at:at + len(block)], taps[ki, kj], out=prod)
+                block += prod
         return _zero_ring(out)
 
     def backward(self, dout):
@@ -185,8 +200,10 @@ class ResidualBlock:
         y = self.conv1.forward(x, train)
         mask = y > 0
         self._relu_mask = mask if train else None
-        y = y * mask
-        return x + self.conv2.forward(y, train)
+        np.multiply(y, mask, out=y)
+        out = self.conv2.forward(y, train)
+        out += x
+        return out
 
     def backward(self, dout):
         dy = self.conv2.backward(dout)

@@ -17,7 +17,9 @@ ring_partition_unique is the np.unique form of spectral.ring_partition,
 which a bincount of the rounded radii replaced with the same arrays.
 correlate_2d_dense is the K^2-tap correlation every Gaussian window was
 taken with before the separable two-pass form replaced it, kept as the
-2-D reference that form must agree with to rounding.
+2-D reference that form must agree with to rounding; with the kernel
+flipped it is also hvs.convolve_same as it stood before its taps became
+slices of the flattened padded image, whose bytes that form keeps.
 delta_cssim_map_per_offset is likewise the CSSIM-delta loop as it stood
 before its per-pixel factors were hoisted out of the offset loop; it shares
 the package's SSIM formula, because the hoisted loop must reproduce it byte

@@ -151,6 +151,22 @@ class TestConvolveSame:
         out = convolve_same(img, weights)
         assert np.max(np.abs(out[2:4, 2:6] - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(256, 256), (37, 50), (1, 1), (1, 7),
+                                       (7, 1), (2, 64, 64), (3, 2, 5, 6),
+                                       (0, 4, 4)])
+    @pytest.mark.parametrize("ksize", [1, 3, 11])
+    def test_flat_shift_is_the_bytes_of_the_strided_sum(self, shape, ksize):
+        rng = Rng(16)
+        img = rng.uniforms(int(np.prod(shape))).reshape(shape)
+        for weights in (build_nasanen_kernel(ksize, 2000.0),
+                        rng.uniforms(ksize * ksize).reshape(ksize, ksize)
+                        - 0.3):
+            out = convolve_same(img, weights)
+            want = correlate_2d_dense(img, weights[::-1, ::-1])
+            assert out.flags.c_contiguous
+            assert out.shape == want.shape
+            assert out.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (3,), (1, 3, 3)])
     def test_rejects_even_or_non_square_kernels(self, shape):
         with pytest.raises(ValueError, match="odd and square"):

@@ -340,8 +340,8 @@ class TestWorkspace:
     def test_warm_calls_allocate_only_what_they_return(self):
         # beyond the returned array (and backward's copies of dout's
         # interior, one at a time) a warm call may allocate only Python
-        # objects and the
-        # (Cin, Cout) weight slices np.dot copies, a few KiB
+        # objects, a few KiB: the tap weights and the block products live
+        # in the workspace, whose size a 256^2 image must not change
         small = 4 * 1024
         conv = seeded_conv(8, 8)
         x = helpers.pad(gaussians(57, (8, 8, 32, 32)))
@@ -368,6 +368,16 @@ class TestWorkspace:
         assert forward_peak <= out.nbytes + small
         assert backward_peak <= dx.nbytes + dout.nbytes + small
         assert forward_only_peak <= out.nbytes + small
+        big = helpers.pad(gaussians(61, (1, 8, 256, 256)))
+        conv.forward(big, train=False)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = conv.forward(big, train=False)
+            big_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert big_peak <= out.nbytes + small
 
 
 class TestForwardOnly:

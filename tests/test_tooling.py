@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from htlab import cli
+from htlab import cli, nn
 from htlab.imagecore import Rng, save_pgm
 from htlab.nn import PolicyNetwork, save_checkpoint
 from test_cli import train_config
@@ -277,6 +277,86 @@ def test_policy_network_is_the_tensordot_bytes_at_program_shapes(
         assert diffs == [0.0] * len(PROGRAM_NETS)
     else:
         assert max(diffs) <= 1e-12
+
+
+# Conv2d.forward sums its taps over blocks of rows; each case places the
+# block boundaries: a last block shorter than the others ("tail"), a
+# boundary inside the second image of a batch ("second"), all rows in one
+# block ("one"), and one 512^2 image ("big")
+BLOCK_CASES = [(1, 8, 8, 64, 64, "tail"), (3, 8, 8, 48, 48, "second"),
+               (2, 8, 8, 16, 16, "one"), (2, 32, 32, 40, 40, "second"),
+               (2, 2, 32, 40, 40, "tail"), (2, 32, 1, 40, 40, "second"),
+               (1, 2, 8, 512, 512, "big"), (1, 8, 8, 512, 512, "big"),
+               (1, 8, 1, 512, 512, "big")]
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_blocked_forward_is_the_tensordot_bytes(tmp_path, blas_threads):
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "import helpers\n"
+            "import oracles\n"
+            "from htlab.imagecore import Rng\n"
+            "from htlab.nn import Conv2d, Workspace\n"
+            f"for b, ci, co, h, w, _ in {BLOCK_CASES!r}:\n"
+            "    rng = Rng(ci * co + h)\n"
+            "    conv = Conv2d(ci, co, Workspace())\n"
+            "    for q in conv.params():\n"
+            "        q.value[...] = rng.gaussians(q.value.size).reshape(\n"
+            "            q.value.shape) * 0.3\n"
+            "    x = rng.gaussians(b * ci * h * w).reshape(b, ci, h, w)\n"
+            "    out = helpers.crop(conv.forward(helpers.pad(x), False))\n"
+            "    want = oracles.conv3x3_forward_tensordot(\n"
+            "        x, conv.weight.value, conv.bias.value)\n"
+            "    rows, = [shape[0] for role, shape in conv._ws._arrays\n"
+            "             if role == 'product']\n"
+            "    print(out.tobytes() == want.tobytes(), rows)\n")
+    lines = _run_python(["-c", code], blas_threads, tmp_path).splitlines()
+    assert len(lines) == len(BLOCK_CASES)
+    for (b, ci, co, h, w, where), line in zip(BLOCK_CASES, lines):
+        same, rows = line.split()
+        rows, n = int(rows), (b * (h + 3) - 3) * (w + 2)
+        # block k starts at padded row w + 3 + k*rows of the batch
+        starts = range(w + 3 + rows, w + 3 + n, rows)
+        placed = {"tail": n > rows and n % rows,
+                  "second": any(s // ((h + 3) * (w + 2)) == 1
+                                for s in starts),
+                  "one": rows == n < nn._BLOCK // (2 * max(ci, co)),
+                  "big": b == 1 and h == w == 512 and n > rows}[where]
+        assert placed, (b, ci, co, h, w, where)
+        assert same == "True", (b, ci, co, h, w)
+
+
+# BLAS sums a one-column product in groups of rows that follow the rows'
+# places in the call, and the flat-shift rows of a C -> 1 conv fall in other
+# places than the tensordot form's: there the two agree to rounding only
+ONE_COLUMN_CONVS = [(1, c, 37, 50) for c in range(8, 129)] + [(2, 64, 64, 64)]
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_one_column_forward_agrees_with_tensordot(tmp_path, blas_threads):
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "import numpy as np\n"
+            "import helpers\n"
+            "import oracles\n"
+            "from htlab.imagecore import Rng\n"
+            "from htlab.nn import Conv2d, Workspace\n"
+            f"for b, ci, h, w in {ONE_COLUMN_CONVS!r}:\n"
+            "    rng = Rng(ci + h)\n"
+            "    conv = Conv2d(ci, 1, Workspace())\n"
+            "    for q in conv.params():\n"
+            "        q.value[...] = rng.gaussians(q.value.size).reshape(\n"
+            "            q.value.shape) * 0.3\n"
+            "    x = rng.gaussians(b * ci * h * w).reshape(b, ci, h, w)\n"
+            "    out = helpers.crop(conv.forward(helpers.pad(x), False))\n"
+            "    want = oracles.conv3x3_forward_tensordot(\n"
+            "        x, conv.weight.value, conv.bias.value)\n"
+            "    print(np.max(np.abs(out - want)) / np.max(np.abs(want)))\n")
+    rel = [float(v) for v in
+           _run_python(["-c", code], blas_threads, tmp_path).split()]
+    assert len(rel) == len(ONE_COLUMN_CONVS)
+    assert max(rel) <= 1e-14
 
 
 @pytest.mark.parametrize("case", sorted(LARGE_WORK))

@@ -230,6 +230,29 @@ class Rng:
         self._s = tuple(int(w) & _M64 for w in words)
 
 
+class Predrawn:
+    """The next n uniforms of an Rng, drawn in one request and handed out
+    in order through Rng's own draws (randint takes 1, gaussians(k) 2 *
+    ceil(k / 2)): the values and the Rng state of one call per draw."""
+
+    def __init__(self, rng, n):
+        self._u = rng.uniforms(n)
+        self._at = 0
+
+    def uniforms(self, n):
+        at = self._at
+        if at + n > len(self._u):
+            raise ValueError("more draws than were drawn ahead")
+        self._at = at + n
+        return self._u[at:at + n]
+
+    def uniform(self):
+        return float(self.uniforms(1)[0])
+
+    gaussians = Rng.gaussians
+    randint = Rng.randint
+
+
 # ---------------------------------------------------------------------------
 # image helpers
 

@@ -9,7 +9,8 @@ contrast, is exactly 0 and CSSIM exactly 1.
 
 Every SSIM window sum is a separable Gaussian correlation (two 1-D passes,
 hvs.correlate_separable), and the HVS error of a pair is one filter pass
-over h - c (filtered_error).
+over h - c (filtered_error). SSIM is taken in its two-term form (Wang et
+al., IEEE TIP 2004, eq. 13), the three-term product at c3 = c2 / 2.
 
 The scored metrics take a region: 'valid' averages only over pixels whose
 filter and SSIM windows fit inside the image (used for reported numbers),
@@ -117,32 +118,29 @@ def _flat_windows(c, size):
 
 
 def _contone_terms(c, cfg):
-    """The contone-only SSIM terms (mu_c, mu_c^2, variance, std); they do
-    not change when only h is edited, so the edit loop computes them once.
-    The variance E[c^2] - mu_c^2 clamps at zero, and is exactly zero on a
-    flat window, where the one-pass form would leave rounding noise."""
+    """The contone-only SSIM terms (mu_c, mu_c^2, variance); they do not
+    change when only h is edited, so the edit loop computes them once. The
+    variance E[c^2] - mu_c^2 clamps at zero, and is exactly zero on a flat
+    window, where the one-pass form would leave rounding noise."""
     g = gaussian_factor(cfg.ssim_window, cfg.ssim_sigma)
     mu = correlate_separable(c, g)
     mu2 = mu * mu
     var = np.maximum(correlate_separable(c * c, g) - mu2, 0.0)
     var[_flat_windows(c, cfg.ssim_window)] = 0.0
-    return mu, mu2, var, np.sqrt(var)
+    return mu, mu2, var
 
 
 def _ssim_from_stats(mu_x, sxx, sxy, contone, c1, c2):
-    """Three-term SSIM map (luminance * contrast * structure) from raw
-    windowed sums sxx=E[x^2], sxy=E[xy] and y's _contone_terms. Variances
-    clamp at zero."""
-    mu_y, mu_y2, vy, sy = contone
+    """Two-term SSIM map (2 mu_x mu_y + c1)(2 cov + c2) / ((mu_x^2 + mu_y^2
+    + c1)(var_x + var_y + c2)) from raw windowed sums sxx=E[x^2], sxy=E[xy]
+    and y's _contone_terms. Variances clamp at zero; each sum adds x's and
+    y's terms first, so swapping x and y keeps the bytes."""
+    mu_y, mu_y2, vy = contone
+    m = mu_x * mu_y
     mu_x2 = mu_x * mu_x
     vx = np.maximum(sxx - mu_x2, 0.0)
-    cov = sxy - mu_x * mu_y
-    sx = np.sqrt(vx)
-    c3 = c2 / 2.0
-    lum = (2.0 * mu_x * mu_y + c1) / (mu_x2 + mu_y2 + c1)
-    con = (2.0 * sx * sy + c2) / (vx + vy + c2)
-    struct = (cov + c3) / (sx * sy + c3)
-    return lum * con * struct
+    return (((2.0 * m + c1) * (2.0 * (sxy - m) + c2))
+            / ((mu_x2 + mu_y2 + c1) * (vx + vy + c2)))
 
 
 def _window_stats(h, c, cfg):
@@ -151,7 +149,7 @@ def _window_stats(h, c, cfg):
     std of c, 1)."""
     g = gaussian_factor(cfg.ssim_window, cfg.ssim_sigma)
     contone = _contone_terms(c, cfg)
-    sigma_c = np.minimum(cfg.contrast_gain * contone[3], 1.0)
+    sigma_c = np.minimum(cfg.contrast_gain * np.sqrt(contone[2]), 1.0)
     return (correlate_separable(h, g), correlate_separable(h * h, g),
             correlate_separable(h * c, g), contone, sigma_c)
 
@@ -261,6 +259,8 @@ def _delta_cssim_map(ctx, delta):
     out = np.zeros_like(delta)
     c1, c2 = ctx.cfg.c1, ctx.cfg.c2
     q = 2.0 * ctx.h * delta + delta * delta
+    # binary h toggled to 1 - h: q == delta, E[h^2] == mu_h, so shh1 is mu1
+    toggle = np.array_equal(q, delta) and np.array_equal(ctx.shh, ctx.mu_h)
     for dy in range(-wh, wh + 1):
         y0, y1 = max(0, -dy), min(hgt, hgt - dy)
         if y0 >= y1:
@@ -274,7 +274,7 @@ def _delta_cssim_map(ctx, delta):
             sa = (..., slice(y0 + dy, y1 + dy), slice(x0 + dx, x1 + dx))
             wdv = wd * delta[sa]
             mu1 = ctx.mu_h[sb] + wdv
-            shh1 = ctx.shh[sb] + wd * q[sa]
+            shh1 = mu1 if toggle else ctx.shh[sb] + wd * q[sa]
             shc1 = ctx.shc[sb] + wdv * ctx.c[sa]
             s_new = _ssim_from_stats(mu1, shh1, shc1,
                                      [t[sb] for t in ctx.contone], c1, c2)

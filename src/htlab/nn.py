@@ -13,21 +13,16 @@ such buffers, so one layer's output is the next one's input as it stands;
 the network converts layouts only at its two edges. Conv2d reads a buffer
 as one (rows, C) matrix: each of the 9 taps is a GEMM of a contiguous run
 of rows with the tap's weights, accumulated into a fresh buffer of the same
-layout; the forward takes all 9 taps over one cache-sized block of rows at
-a time, and the input gradient scatters back through the same shifts over
-the whole batch. The weight gradient contracts the upstream gradient with
-each tap's (B*H*W, Cin) window. Every product keeps the operand
-orientation and summation order of a per-tap tensordot, and the bias
-gradient sums a C-contiguous (B, C, H, W) copy, since numpy reduces in
-memory order. BLAS picks its kernel by problem size, so the tests pin that
-form's bytes on numpy 2.4.6 with OpenBLAS 0.3.31, under 1 and 2 BLAS
-threads, only where they were measured: the forward at the program's layer
-shapes and across block boundaries, and the three gradients at the shapes
-the program runs (8- and 32-channel layers at 32^2, 64^2 and 256^2).
-Elsewhere the two agree to rounding: the input gradient at Cin = 4 into 16
-or 32 channels by up to about 3e-14, and a C -> 1 forward (a one-column
-product, whose rows BLAS groups by their place in the call) by up to about
-1e-16 relative, at 37x50 for every C from 8 to 128.
+layout. The forward takes all 9 taps over one cache-sized block of rows at
+a time, and the input gradient gathers back through the same shifts over
+blocks of its own size (see _BACKWARD_MACS). The weight gradient contracts
+the upstream gradient with each tap's (B*H*W, Cin) window. Every product
+keeps the operand orientation and summation order of a per-tap tensordot,
+and the bias gradient sums a C-contiguous (B, C, H, W) copy, since numpy
+reduces in memory order. BLAS picks its kernel by problem size and thread
+count, so the tests pin that form's bytes only where they were measured
+(numpy 2.4.6, OpenBLAS 0.3.31, 1 and 2 BLAS threads, at the shapes the
+README lists); elsewhere the two agree to rounding.
 
 A training forward keeps a reference to each layer's input (backward needs
 it); a forward-only call (train=False, as inference runs) keeps nothing,
@@ -53,7 +48,11 @@ CHECKPOINT_VERSION = 1
 # operand) rounded down to a power of two, so that it starts where BLAS's
 # row groups start; 2730 rows at 12 -> 1 moved bytes
 _BLOCK = 2 ** 15
-
+# a Conv2d.backward input-gradient block is _BACKWARD_MACS / (Cin * Cout)
+# rows rounded up to a power of two, the last taking the rest: OpenBLAS
+# switches kernels at 10^6 multiply-adds, and at Cin in {2, 3, 4, 12} with
+# Cout >= 16 the two kernels sum in different orders
+_BACKWARD_MACS = 2 ** 20
 
 class Parameter:
     __slots__ = ("value", "grad")
@@ -129,23 +128,12 @@ class Conv2d:
         if c != self.c_in:
             raise ValueError(f"expected {self.c_in} input channels, got {c}")
         self._xb = xb if train else None
-        n = (b * hp - 3) * wp
-        rows = min(n, _BLOCK >> (max(c, self.c_out) - 1).bit_length())
-        # "taps" and "product" are overwritten whole before each read
+        # "taps" is overwritten whole before each read
         taps = self._ws.get(xb.shape[:3], "taps", (3, 3, c, self.c_out))
         taps[...] = self.weight.value.transpose(2, 3, 1, 0)
-        product = self._ws.get(xb.shape[:3], "product", (rows, self.c_out))
-        xrows = xb.reshape(-1, c)
         out = np.empty((b, hp, wp, self.c_out))
-        acc = out.reshape(-1, self.c_out)[wp + 1:wp + 1 + n]
-        for start in range(0, n, rows):
-            block = acc[start:start + rows]
-            prod = product[:len(block)]
-            block[...] = self.bias.value
-            for ki, kj in np.ndindex(3, 3):
-                at = start + ki * wp + kj
-                np.matmul(xrows[at:at + len(block)], taps[ki, kj], out=prod)
-                block += prod
+        self._tap_blocks(xb, out, self.bias.value, taps,
+                         _BLOCK >> (max(c, self.c_out) - 1).bit_length())
         return _zero_ring(out)
 
     def backward(self, dout):
@@ -156,7 +144,6 @@ class Conv2d:
             raise RuntimeError("backward needs a training forward first")
         b, hp, wp, _ = xb.shape
         hgt, wid = hp - 3, wp - 2
-        n = (b * hp - 3) * wp
         geometry = xb.shape[:3]
         inner = dout[:, 1:hgt + 1, 1:wid + 1]
         # the bias and weight gradients sum over (B, H, W) in the memory
@@ -165,24 +152,48 @@ class Conv2d:
         self.bias.grad += np.ascontiguousarray(
             np.moveaxis(inner, 3, 1)).sum(axis=(0, 2, 3))
         dout_t = np.moveaxis(inner, 3, 0).reshape(self.c_out, -1)
-        # "window", "dw" and "product" are overwritten whole before each read
+        # "window", "dw" and "dtaps" are overwritten whole before each read
         window = self._ws.get(geometry, "window", (b, hgt, wid, self.c_in))
         wrows = window.reshape(-1, self.c_in)
         dw = self._ws.get(geometry, "dw", (self.c_out, self.c_in))
-        product = self._ws.get(geometry, "product", (n, self.c_in))
-        drows = dout.reshape(-1, self.c_out)[wp + 1:wp + 1 + n]
-        dx = np.zeros(xb.shape)
-        dxrows = dx.reshape(-1, self.c_in)
-        w = self.weight.value
-        for ki in range(3):
-            for kj in range(3):
-                window[...] = xb[:, ki:ki + hgt, kj:kj + wid]
-                np.dot(dout_t, wrows, out=dw)
-                self.weight.grad[:, :, ki, kj] += dw
-                at = ki * wp + kj
-                np.dot(drows, w[:, :, ki, kj], out=product)
-                dxrows[at:at + n] += product
+        for ki, kj in np.ndindex(3, 3):
+            window[...] = xb[:, ki:ki + hgt, kj:kj + wid]
+            np.dot(dout_t, wrows, out=dw)
+            self.weight.grad[:, :, ki, kj] += dw
+        taps = self._ws.get(geometry, "dtaps", (3, 3, self.c_out, self.c_in))
+        # input rows read the upstream rows that forward tap (2-ki, 2-kj)
+        # wrote from them, ki*(W+2) + kj rows on
+        taps[...] = self.weight.value.transpose(2, 3, 0, 1)[::-1, ::-1]
+        rows = -(-_BACKWARD_MACS // (self.c_in * self.c_out))
+        dx = np.empty(xb.shape)
+        self._tap_blocks(dout, dx, 0.0, taps, 1 << (rows - 1).bit_length(),
+                         backward=True)
         return _zero_ring(dx)
+
+    def _tap_blocks(self, src, dst, init, taps, rows, backward=False):
+        """Fill the n = (B*(H+3) - 3)*(W+2) rows of dst's (rows, C) view
+        from W+3 rows in, block by block: a block takes init, then adds
+        src's rows ki*(W+2) + kj on times taps[ki, kj], taps in row-major
+        order (reversed for backward, whose last block takes the rest), the
+        terms and order of one whole-batch product per tap."""
+        b, hp, wp, c_src = src.shape
+        n = (b * hp - 3) * wp
+        rows = min(n, rows)
+        starts = range(0, n - rows + 1 if backward else n, rows)
+        # "product" is overwritten whole before each read
+        product = self._ws.get(src.shape[:3], "product",
+                               (max(rows, n - starts[-1]), dst.shape[3]))
+        srows = src.reshape(-1, c_src)
+        acc = dst.reshape(-1, dst.shape[3])[wp + 1:wp + 1 + n]
+        order = list(np.ndindex(3, 3))[::-1 if backward else 1]
+        for start in starts:
+            block = acc[start:n if start == starts[-1] else start + rows]
+            prod = product[:len(block)]
+            block[...] = init
+            for ki, kj in order:
+                at = start + ki * wp + kj
+                np.matmul(srows[at:at + len(block)], taps[ki, kj], out=prod)
+                block += prod
 
     def params(self):
         return [self.weight, self.bias]

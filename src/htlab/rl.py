@@ -27,7 +27,7 @@ import numpy as np
 
 from . import metrics
 from .hvs import HvsConfig, build_kernel
-from .imagecore import Rng, gaussian_noise_map, random_crop
+from .imagecore import Predrawn, Rng, gaussian_noise_map, random_crop
 from .metrics import MetricConfig
 from .nn import Adam, PolicyNetwork, cosine_lr, load_checkpoint
 from .spectral import anisotropy_loss, anisotropy_loss_backward, ring_partition
@@ -210,17 +210,22 @@ def train_step(net, adam, dataset, cfg, rng, t):
     (image pick, crop offsets, noise map per sample; then the action
     uniforms of the whole stack; then the B grays and one draw of the B
     noise maps of the anisotropy batch), so a seed pins the whole run.
+    Each draw takes a fixed number of words, so all come from one request.
     """
     size, b = cfg.crop_size, cfg.batch_size
+    area = size * size
+    anisotropy = cfg.w_a != 0.0 and cfg.levels == 2
+    draws = Predrawn(rng, b * (3 + 2 * -(-area // 2) + area)
+                     + anisotropy * (b + 2 * -(-b * area // 2)))
     mcfg = cfg.metric_config()
     x = np.empty((b, 2, size, size))
     for i in range(b):
-        img = dataset[rng.randint(len(dataset))]
-        x[i, 0] = random_crop(rng, img, size)
-        x[i, 1] = gaussian_noise_map(rng, size, size)
+        img = dataset[draws.randint(len(dataset))]
+        x[i, 0] = random_crop(draws, img, size)
+        x[i, 1] = gaussian_noise_map(draws, size, size)
     p = net.forward(x)[:, 0]
 
-    ctx = make_sample(p, x[:, 0], rng, mcfg, cfg.levels)
+    ctx = make_sample(p, x[:, 0], draws, mcfg, cfg.levels)
     signal = _signal(ctx, p, cfg)
     net.zero_grad()
     net.backward(signal[:, None] / b)
@@ -230,10 +235,10 @@ def train_step(net, adam, dataset, cfg, rng, t):
     del ctx, signal
 
     l_as = math.nan
-    if cfg.w_a != 0.0 and cfg.levels == 2:
+    if anisotropy:
         xg = np.empty((b, 2, size, size))
-        xg[:, 0] = rng.uniforms(b)[:, None, None]
-        xg[:, 1] = rng.gaussians(b * size * size).reshape(b, size, size)
+        xg[:, 0] = draws.uniforms(b)[:, None, None]
+        xg[:, 1] = draws.gaussians(b * area).reshape(b, size, size)
         pg = net.forward(xg)[:, 0]
         part = ring_partition((size, size))
         l_as = float(np.mean(anisotropy_loss(pg, part)))

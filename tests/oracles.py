@@ -23,7 +23,10 @@ slices of the flattened padded image, whose bytes that form keeps.
 delta_cssim_map_per_offset is likewise the CSSIM-delta loop as it stood
 before its per-pixel factors were hoisted out of the offset loop; it shares
 the package's SSIM formula, because the hoisted loop must reproduce it byte
-for byte. floyd_steinberg_per_pixel and xoshiro256pp_words are the
+for byte. train_step_draws_per_call is rl.train_step's draws as they were
+taken before one request served the whole step, one Rng call per draw,
+through the package's own draw functions, since only their order is under
+test. floyd_steinberg_per_pixel and xoshiro256pp_words are the
 pixel-by-pixel diffusion and the word-by-word scrambling that
 classic.floyd_steinberg and imagecore.Rng replaced with row and vector
 forms of the same bytes.
@@ -33,7 +36,8 @@ import numpy as np
 
 from htlab import metrics
 from htlab.metrics import MetricConfig
-from htlab.rl import _cast_two_point
+from htlab.imagecore import gaussian_noise_map, random_crop
+from htlab.rl import _cast_two_point, sample_actions
 
 
 def conv2d_same_brute(img, kernel):
@@ -89,14 +93,15 @@ def correlate_2d_dense(img, weights):
     return out
 
 
-def ssim_map_brute(x, y, weights, c1, c2):
+def ssim_map_brute(x, y, weights, c1, c2, mean=window_mean_brute):
     """Per-pixel three-term SSIM from windowed moments (variances clamped
-    at zero, covariance left signed)."""
-    mu_x = window_mean_brute(x, weights)
-    mu_y = window_mean_brute(y, weights)
-    sxx = np.maximum(window_mean_brute(x * x, weights) - mu_x * mu_x, 0.0)
-    syy = np.maximum(window_mean_brute(y * y, weights) - mu_y * mu_y, 0.0)
-    sxy = window_mean_brute(x * y, weights) - mu_x * mu_y
+    at zero, covariance left signed). mean takes the window means; pass
+    correlate_2d_dense for large images or (B, H, W) stacks."""
+    mu_x = mean(x, weights)
+    mu_y = mean(y, weights)
+    sxx = np.maximum(mean(x * x, weights) - mu_x * mu_x, 0.0)
+    syy = np.maximum(mean(y * y, weights) - mu_y * mu_y, 0.0)
+    sxy = mean(x * y, weights) - mu_x * mu_y
     c3 = c2 / 2.0
     sx = np.sqrt(sxx)
     sy = np.sqrt(syy)
@@ -345,6 +350,27 @@ def delta_cssim_map_per_offset(ctx, delta):
                 mu1, shh1, shc1, [t[sb] for t in ctx.contone], c1, c2)
             out[sa] += ctx.sigma_c[sb] * (s_new - ctx.ssim_map[sb])
     return out
+
+
+def train_step_draws_per_call(dataset, cfg, rng, p):
+    """The draws of one rl.train_step, each its own Rng call: per crop the
+    image pick, the y and x offsets and the noise map; then the action map
+    sampled from the policy output p; then, when w_a != 0 and L = 2, the B
+    grays and the B noise maps of the anisotropy batch. Returns (x, the
+    action map, the anisotropy input or None)."""
+    size, b = cfg.crop_size, cfg.batch_size
+    x = np.empty((b, 2, size, size))
+    for i in range(b):
+        img = dataset[rng.randint(len(dataset))]
+        x[i, 0] = random_crop(rng, img, size)
+        x[i, 1] = gaussian_noise_map(rng, size, size)
+    actions = sample_actions(p, rng, cfg.levels)
+    if cfg.w_a == 0.0 or cfg.levels != 2:
+        return x, actions, None
+    xg = np.empty((b, 2, size, size))
+    xg[:, 0] = rng.uniforms(b)[:, None, None]
+    xg[:, 1] = rng.gaussians(b * size * size).reshape(b, size, size)
+    return x, actions, xg
 
 
 def dft2_brute(x):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from htlab.imagecore import (_LANE_MIN_WORDS, NetpbmError, Rng, _jump,
-                             _jump_table, constant_image, derive_seed,
+from htlab.imagecore import (_LANE_MIN_WORDS, NetpbmError, Predrawn, Rng,
+                             _jump, _jump_table, constant_image, derive_seed,
                              gaussian_noise_map, load_pbm, load_pgm,
                              random_crop, save_pbm, save_pgm, splitmix64,
                              validate_contone, validate_halftone)
@@ -102,6 +102,20 @@ class TestRng:
         z = Rng(17).gaussians(20000)
         assert abs(z.mean()) < 0.03
         assert abs(z.std() - 1.0) < 0.02
+
+    def test_predrawn_serves_the_per_call_draws(self):
+        # randint and uniform take one word each, gaussians(5) six
+        ahead, per_call = Rng(21), Rng(21)
+        draws = Predrawn(ahead, 1 + 1 + 6 + 4)
+        got = [draws.randint(7), draws.uniform(),
+               draws.gaussians(5).tobytes(), draws.uniforms(4).tobytes()]
+        want = [per_call.randint(7), per_call.uniform(),
+                per_call.gaussians(5).tobytes(),
+                per_call.uniforms(4).tobytes()]
+        assert got == want
+        assert ahead.state_words() == per_call.state_words()
+        with pytest.raises(ValueError):
+            draws.uniforms(1)
 
     def test_randint_bounds_and_error(self):
         r = Rng(1)

@@ -150,6 +150,23 @@ class TestSsim:
         syx, _ = ssim(y, x, SMALL, region="full")
         assert sxy == syx
 
+    @pytest.mark.parametrize("shape", [(8, 32, 32), (256, 256)])
+    def test_two_term_map_is_the_three_term_oracle(self, shape):
+        # the two-term form against the three-term product at c3 = c2 / 2,
+        # on a contone with flat patches (flat windows) in 'full' region
+        # (border windows reaching into the zero padding)
+        cfg = MetricConfig()
+        rng = Rng(29)
+        c = rng.uniforms(math.prod(shape)).reshape(shape)
+        c[..., :16, :16] = 0.5
+        c[..., -20:, 8:40] = 0.2
+        h = (rng.uniforms(c.size).reshape(shape) < c).astype(np.float64)
+        w = build_gaussian_kernel(cfg.ssim_window, cfg.ssim_sigma)
+        want = oracles.ssim_map_brute(h, c, w, cfg.c1, cfg.c2,
+                                      mean=oracles.correlate_2d_dense)
+        _, s_map = metrics.ssim_and_cssim(h, c, cfg, region="full")[0]
+        assert np.max(np.abs(s_map - want)) < 1e-12
+
     def test_map_matches_brute_oracle(self):
         rng = Rng(23)
         x = helpers.random_contone(rng, 8, 8)

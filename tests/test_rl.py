@@ -16,7 +16,7 @@ import helpers
 import oracles
 from htlab import nn, rl
 from htlab.hvs import HvsConfig, build_kernel, convolve_same
-from htlab.imagecore import Rng
+from htlab.imagecore import Rng, constant_image
 from htlab.metrics import MetricConfig, delta_map
 from htlab.metrics import reward as build_reward
 from htlab.nn import cosine_lr
@@ -348,3 +348,54 @@ class TestAnisotropyBatchDraw:
         assert rng_a.state_words() == rng_b.state_words()
         for pa, pb in zip(whole.params(), resumed.params()):
             assert pa.value.tobytes() == pb.value.tobytes()
+
+
+class TestStepDraws:
+    """train_step takes a step's draws in one request; the inputs, the
+    action map, the anisotropy batch and the Rng state after the step must
+    be those of one Rng call per draw (oracles.train_step_draws_per_call),
+    byte for byte."""
+
+    DATA = [helpers.natural_crop(size=40, seed=3),
+            helpers.natural_crop(size=36, seed=4), constant_image(0.3, 33, 35)]
+
+    CASES = ([(size, 2, estimator, w_a) for size in (32, 7)
+              for estimator in ESTIMATORS for w_a in (0.0, 0.002)]
+             + [(size, 3, "local_expectation", w_a) for size in (32, 7)
+                for w_a in (0.0, 0.002)])
+
+    @pytest.mark.parametrize("size,levels,estimator,w_a", CASES)
+    def test_one_request_gives_the_per_call_bytes(self, size, levels,
+                                                  estimator, w_a,
+                                                  monkeypatch):
+        cfg = TrainConfig(iterations=3, batch_size=3, crop_size=size,
+                          channels=2, blocks=1, w_a=w_a, seed=9,
+                          estimator=estimator, levels=levels,
+                          hvs_model="gaussian", hvs_size=3, hvs_sigma=1.0)
+        net = nn.PolicyNetwork(channels=2, blocks=1)
+        net.init_params(Rng(11), std=0.3)
+        inputs, samples = [], []
+        forward = net.forward
+
+        def recording_forward(x, train=True):
+            inputs.append(x.copy())
+            return forward(x, train)
+
+        def recording_sample(p, c, rng, mcfg, level_count):
+            ctx = make_sample(p, c, rng, mcfg, level_count)
+            samples.append((p.copy(), ctx.h.copy()))
+            return ctx
+
+        monkeypatch.setattr(net, "forward", recording_forward)
+        monkeypatch.setattr(rl, "make_sample", recording_sample)
+        rng = Rng(13)
+        rl.train_step(net, nn.Adam(net.params()), self.DATA, cfg, rng, 0)
+        want_rng = Rng(13)
+        x, actions, xg = oracles.train_step_draws_per_call(
+            self.DATA, cfg, want_rng, samples[0][0])
+        assert inputs[0].tobytes() == x.tobytes()
+        assert samples[0][1].tobytes() == actions.tobytes()
+        assert len(inputs) == (1 if xg is None else 2)
+        if xg is not None:
+            assert inputs[1].tobytes() == xg.tobytes()
+        assert rng.state_words() == want_rng.state_words()

@@ -182,11 +182,21 @@ LARGE_WORK = {
 
 
 # the Conv2d layers the program runs, as (batch, c_in, c_out, size): an
-# 8-channel policy on the training crops and at image scale, and a
-# 32-channel one on 64^2 crops
+# 8-channel policy on the training crops and at image scale, a 32-channel
+# one on 64^2 crops, and the TrainConfig default (64 crops of 64^2, 32
+# channels)
 PROGRAM_CONVS = [(8, 2, 8, 32), (8, 8, 8, 32), (8, 8, 1, 32),
                  (2, 2, 32, 64), (2, 32, 32, 64), (2, 32, 1, 64),
-                 (1, 2, 8, 256), (1, 8, 8, 256)]
+                 (1, 2, 8, 256), (1, 8, 8, 256),
+                 (64, 2, 32, 64), (64, 32, 32, 64), (64, 32, 1, 64)]
+
+# Conv2d.backward's input gradient runs in blocks of 2^20 / (c_in * c_out)
+# rows rounded up to a power of two (1,024 rows at 32 -> 32, 16,384 at
+# 8 -> 8), the last block taking the rest; as (batch, c_in, c_out, height,
+# width): n not a multiple of the block, a block boundary inside the
+# second image, n below one block, and one 512^2 image
+BLOCK_CONVS = [(1, 32, 32, 37, 50), (2, 32, 32, 20, 30), (2, 8, 8, 10, 10),
+               (1, 2, 8, 512, 512), (1, 8, 8, 512, 512)]
 
 
 # the build on which the nn docstring's input-gradient identity was measured
@@ -194,12 +204,9 @@ MEASURED_BUILD = {"numpy": "2.4.6", "blas": "scipy-openblas",
                   "blas_version": "0.3.31.188.0"}
 
 
-@pytest.mark.parametrize("blas_threads", [1, 2])
-def test_conv_input_gradient_is_the_tensordot_bytes_at_program_shapes(
-        tmp_path, blas_threads):
-    # BLAS chooses its kernels by problem size and thread count, so the
-    # byte identity holds on the measured build only; another build may
-    # cross a kernel switch at other sizes and keep only rounding agreement
+def _input_gradient_diffs(shapes, blas_threads, tmp_path):
+    """max |dx - oracle dx| of a seeded Conv2d at each (batch, c_in, c_out,
+    height, width), in a child process under blas_threads BLAS threads."""
     code = ("import sys\n"
             f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
             "import numpy as np\n"
@@ -207,24 +214,46 @@ def test_conv_input_gradient_is_the_tensordot_bytes_at_program_shapes(
             "import oracles\n"
             "from htlab.imagecore import Rng\n"
             "from htlab.nn import Conv2d, Workspace\n"
-            f"for b, ci, co, n in {PROGRAM_CONVS!r}:\n"
-            "    rng = Rng(ci * co + n)\n"
+            f"for b, ci, co, h, w in {shapes!r}:\n"
+            "    rng = Rng(ci * co + h)\n"
             "    conv = Conv2d(ci, co, Workspace())\n"
-            "    w = conv.weight.value\n"
-            "    w[...] = rng.gaussians(w.size).reshape(w.shape) * 0.3\n"
-            "    x = rng.gaussians(b * ci * n * n).reshape(b, ci, n, n)\n"
+            "    wt = conv.weight.value\n"
+            "    wt[...] = rng.gaussians(wt.size).reshape(wt.shape) * 0.3\n"
+            "    x = rng.gaussians(b * ci * h * w).reshape(b, ci, h, w)\n"
             "    conv.forward(helpers.pad(x))\n"
-            "    g = rng.gaussians(b * co * n * n).reshape(b, co, n, n)\n"
-            "    want = oracles.conv3x3_backward_tensordot(x, w, g)[0]\n"
+            "    g = rng.gaussians(b * co * h * w).reshape(b, co, h, w)\n"
+            "    want = oracles.conv3x3_backward_tensordot(x, wt, g)[0]\n"
             "    dx = helpers.crop(conv.backward(helpers.pad(g)))\n"
             "    print(np.max(np.abs(dx - want)))\n")
     diffs = [float(v) for v in
              _run_python(["-c", code], blas_threads, tmp_path).split()]
-    assert len(diffs) == len(PROGRAM_CONVS)
+    assert len(diffs) == len(shapes)
+    return diffs
+
+
+def _assert_tensordot_bytes(diffs):
+    # BLAS chooses its kernels by problem size and thread count, so the
+    # byte identity holds on the measured build only; another build may
+    # cross a kernel switch at other sizes and keep only rounding agreement
     if cli._build() == MEASURED_BUILD:
-        assert diffs == [0.0] * len(PROGRAM_CONVS)
+        assert diffs == [0.0] * len(diffs)
     else:
         assert max(diffs) <= 1e-12
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_conv_input_gradient_is_the_tensordot_bytes_at_program_shapes(
+        tmp_path, blas_threads):
+    _assert_tensordot_bytes(_input_gradient_diffs(
+        [(b, ci, co, n, n) for b, ci, co, n in PROGRAM_CONVS], blas_threads,
+        tmp_path))
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_conv_input_gradient_blocks_are_the_tensordot_bytes(tmp_path,
+                                                            blas_threads):
+    _assert_tensordot_bytes(_input_gradient_diffs(BLOCK_CONVS, blas_threads,
+                                                  tmp_path))
 
 
 # the policy networks the program runs, as (channels, blocks, batch, size,

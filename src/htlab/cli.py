@@ -320,10 +320,16 @@ def cmd_train(args, argv):
     try:
         net, adam, rng = rl.train_loop(cfg, dataset, resume_path=args.resume,
                                        on_iteration=on_iteration)
-    except FloatingPointError as exc:
-        # keep what the run produced before it diverged: the rows logged so
-        # far and the checkpoints already written
+    except (FloatingPointError, MemoryError) as exc:
+        # keep what the run produced before it stopped: the rows logged so
+        # far and the checkpoints already written. A step keeps every
+        # layer's input, which validate() does not bound
         _write_csv(log_path, log_columns, log_rows)
+        if isinstance(exc, MemoryError):
+            raise DataError(
+                f"a training step of batch_size {cfg.batch_size}, crop_size "
+                f"{cfg.crop_size}, {cfg.channels} channels and {cfg.blocks} "
+                f"blocks does not fit in memory ({exc!r})") from exc
         raise DataError(str(exc)) from exc
     model_path = os.path.join(cfg.out_dir, "model.htnn")
     save_checkpoint(model_path, net, adam, iteration=cfg.iterations,

@@ -3,9 +3,12 @@
 Images are plain 2-D float64 numpy arrays. Contone and multitone images hold
 tones in [0, 1]; halftones hold {0.0, 1.0} with 1 = white. All randomness in
 the package flows through Rng below so that a seed pins every downstream byte.
+Netpbm files are parsed in one pass over their bytes with one token pattern
+(_TOKEN); a binary payload is a view of them.
 """
 
 import functools
+import re
 from array import array
 
 import numpy as np
@@ -188,15 +191,9 @@ class Rng:
                    w3.T[last:, :-1])
         return _scramble(w0.reshape(-1)[:n], w3.reshape(-1)[:n])
 
-    def next_uint64(self):
-        s0, s3 = [0], [0]
-        self._s = _steps(*self._s, s0, s3)
-        x = (s0[0] + s3[0]) & _M64
-        return ((((x << 23) | (x >> 41)) & _M64) + s0[0]) & _M64
-
     def uniform(self):
         """One double in [0, 1)."""
-        return (self.next_uint64() >> 11) * _INV53
+        return int(self._words(1)[0] >> np.uint64(11)) * _INV53
 
     def uniforms(self, n):
         """n doubles in [0, 1) as a 1-D array."""
@@ -314,97 +311,86 @@ class NetpbmError(ValueError):
     """Malformed Netpbm input; message names the offending byte offset."""
 
 
-class _TokenReader:
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
+# a run of separators and comments, then one token; the token is empty only
+# at the end of the data, since a comment runs to the end of its line
+_TOKEN = re.compile(rb"(?:[ \t\n\v\f\r]|#[^\r\n]*)*([^ \t\n\v\f\r#]*)")
 
-    def _skip_separators(self):
-        data = self.data
-        n = len(data)
-        while self.pos < n:
-            b = data[self.pos]
-            if b in b" \t\r\n\x0b\x0c":
-                self.pos += 1
-            elif b == ord("#"):
-                while self.pos < n and data[self.pos] not in b"\r\n":
-                    self.pos += 1
-            else:
-                return
 
-    def token(self, what):
-        self._skip_separators()
-        if self.pos >= len(self.data):
-            raise NetpbmError(
-                f"unexpected end of file at byte {self.pos} while reading {what}")
-        start = self.pos
-        n = len(self.data)
-        while self.pos < n and self.data[self.pos] not in b" \t\r\n\x0b\x0c#":
-            self.pos += 1
-        return self.data[start:self.pos], start
-
-    def int_token(self, what):
-        tok, start = self.token(what)
+def _ints(data, pos, names, top=None):
+    """One integer token from byte pos on for each of names (what an error
+    calls it), each in [0, top] unless top is None: the values and the byte
+    after the last token."""
+    values = []
+    for name, m in zip(names, _TOKEN.finditer(data, pos)):
+        tok, start, pos = m[1], m.start(1), m.end()
+        if not tok:
+            raise NetpbmError(f"unexpected end of file at byte {start} "
+                              f"while reading {name}")
         try:
-            return int(tok)
+            value = int(tok)
         except ValueError:
-            raise NetpbmError(
-                f"expected integer for {what} at byte {start}, got {tok!r}") from None
+            raise NetpbmError(f"expected integer for {name} at byte {start}, "
+                              f"got {tok!r}") from None
+        if top is not None and not 0 <= value <= top:
+            raise NetpbmError(f"{name} out of range near byte {pos}")
+        values.append(value)
+    return values, pos
 
 
-def _read_header(reader, magic):
-    got, start = reader.token("magic number")
-    if got != magic:
-        raise NetpbmError(f"bad magic at byte {start}: expected {magic!r}, got {got!r}")
-    width = reader.int_token("width")
-    height = reader.int_token("height")
+def _header(path, magics):
+    """A Netpbm file's bytes, its magic (one of magics, as the whole first
+    token at byte 0), its positive width and height, and the byte after
+    the height."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    magic = data[:_TOKEN.match(data).end()]
+    if magic not in magics:
+        raise NetpbmError(f"bad magic at byte 0: expected "
+                          f"{' or '.join(m.decode() for m in magics)}, "
+                          f"got {magic!r}")
+    (width, height), pos = _ints(data, len(magic), ("width", "height"))
     if width <= 0 or height <= 0:
         raise NetpbmError(f"non-positive dimensions {width}x{height} in header")
-    return width, height
+    return data, magic, width, height, pos
+
+
+def _payload(data, pos, need):
+    """The need bytes of a binary payload, which starts one byte (the
+    header's last separator) after pos."""
+    if pos >= len(data):
+        raise NetpbmError(f"unexpected end of file at byte {pos}")
+    payload = memoryview(data)[pos + 1:pos + 1 + need]
+    if len(payload) < need:
+        raise NetpbmError(
+            f"truncated payload at byte {pos + 1 + len(payload)}: "
+            f"expected {need} bytes, found {len(payload)}")
+    return payload
 
 
 def load_pgm(path):
     """Load a P2 or P5 PGM as a contone image in [0, 1]."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:2] not in (b"P2", b"P5"):
-        raise NetpbmError(f"bad magic at byte 0: {data[:2]!r} is not P2/P5")
-    ascii_form = data[:2] == b"P2"
-    reader = _TokenReader(data)
-    width, height = _read_header(reader, b"P2" if ascii_form else b"P5")
-    maxval = reader.int_token("maxval")
+    data, magic, width, height, pos = _header(path, (b"P2", b"P5"))
+    (maxval,), pos = _ints(data, pos, ("maxval",))
     if not 0 < maxval <= 65535:
         raise NetpbmError(f"maxval {maxval} outside [1, 65535]")
     n = width * height
-    if ascii_form:
-        # every sample takes a digit and a separator: bound n by the bytes
-        # left before allocating
-        if n > (len(data) - reader.pos + 1) // 2:
-            raise NetpbmError(
-                f"{width}x{height} samples cannot fit in the "
-                f"{len(data) - reader.pos} bytes after byte {reader.pos}")
-        vals = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            v = reader.int_token(f"sample {i}")
-            if v < 0 or v > maxval:
-                raise NetpbmError(f"sample {i} out of range near byte {reader.pos}")
-            vals[i] = v
-    else:
-        # single whitespace byte separates maxval from the payload
-        if reader.pos >= len(data):
-            raise NetpbmError(f"unexpected end of file at byte {reader.pos}")
-        reader.pos += 1
+    if magic == b"P5":
         wide = maxval > 255
-        need = n * (2 if wide else 1)
-        payload = data[reader.pos:reader.pos + need]
-        if len(payload) < need:
-            raise NetpbmError(
-                f"truncated payload at byte {reader.pos + len(payload)}: "
-                f"expected {need} bytes, found {len(payload)}")
-        raw = np.frombuffer(payload, dtype=">u2" if wide else np.uint8)
+        raw = np.frombuffer(_payload(data, pos, n * (2 if wide else 1)),
+                            dtype=">u2" if wide else np.uint8)
         if raw.max(initial=0) > maxval:
             raise NetpbmError("sample exceeds declared maxval")
         vals = raw.astype(np.float64)
+    else:
+        # every sample takes a digit and a separator: bound n by the bytes
+        # left before reading any
+        if n > (len(data) - pos + 1) // 2:
+            raise NetpbmError(
+                f"{width}x{height} samples cannot fit in the "
+                f"{len(data) - pos} bytes after byte {pos}")
+        values, _ = _ints(data, pos, (f"sample {i}" for i in range(n)),
+                          maxval)
+        vals = np.array(values, dtype=np.float64)
     return (vals / float(maxval)).reshape(height, width)
 
 
@@ -438,20 +424,9 @@ def save_pbm(halftone, path):
 
 def load_pbm(path):
     """Load a packed P4 bitmap back into a {0, 1} halftone (1 = white)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    reader = _TokenReader(data)
-    width, height = _read_header(reader, b"P4")
-    if reader.pos >= len(data):
-        raise NetpbmError(f"unexpected end of file at byte {reader.pos}")
-    reader.pos += 1
+    data, _, width, height, pos = _header(path, (b"P4",))
     row_bytes = (width + 7) // 8
-    need = row_bytes * height
-    payload = data[reader.pos:reader.pos + need]
-    if len(payload) < need:
-        raise NetpbmError(
-            f"truncated payload at byte {reader.pos + len(payload)}: "
-            f"expected {need} bytes, found {len(payload)}")
-    raw = np.frombuffer(payload, dtype=np.uint8).reshape(height, row_bytes)
+    raw = np.frombuffer(_payload(data, pos, row_bytes * height),
+                        dtype=np.uint8).reshape(height, row_bytes)
     bits = np.unpackbits(raw, axis=1)[:, :width]
     return (1.0 - bits).astype(np.float64)

@@ -34,14 +34,18 @@ from .hvs import (HvsConfig, build_gaussian_kernel, build_kernel,
                   gaussian_factor)
 
 
+# the SSIM window's sigma, the stabilizers (K1 = 0.01, K2 = 0.03 at dynamic
+# range 1) and the gain from the contone's windowed std to sigma_c
+SSIM_SIGMA = 1.5
+C1 = 0.01 ** 2
+C2 = 0.03 ** 2
+CONTRAST_GAIN = 2.0
+
+
 @dataclass(frozen=True)
 class MetricConfig:
     w_s: float = 0.06
     ssim_window: int = 11
-    ssim_sigma: float = 1.5
-    c1: float = 0.01 ** 2
-    c2: float = 0.03 ** 2
-    contrast_gain: float = 2.0
     hvs: HvsConfig = field(default_factory=HvsConfig)
 
 
@@ -122,7 +126,7 @@ def _contone_terms(c, cfg):
     change when only h is edited, so the edit loop computes them once. The
     variance E[c^2] - mu_c^2 clamps at zero, and is exactly zero on a flat
     window, where the one-pass form would leave rounding noise."""
-    g = gaussian_factor(cfg.ssim_window, cfg.ssim_sigma)
+    g = gaussian_factor(cfg.ssim_window, SSIM_SIGMA)
     mu = correlate_separable(c, g)
     mu2 = mu * mu
     var = np.maximum(correlate_separable(c * c, g) - mu2, 0.0)
@@ -130,26 +134,26 @@ def _contone_terms(c, cfg):
     return mu, mu2, var
 
 
-def _ssim_from_stats(mu_x, sxx, sxy, contone, c1, c2):
-    """Two-term SSIM map (2 mu_x mu_y + c1)(2 cov + c2) / ((mu_x^2 + mu_y^2
-    + c1)(var_x + var_y + c2)) from raw windowed sums sxx=E[x^2], sxy=E[xy]
+def _ssim_from_stats(mu_x, sxx, sxy, contone):
+    """Two-term SSIM map (2 mu_x mu_y + C1)(2 cov + C2) / ((mu_x^2 + mu_y^2
+    + C1)(var_x + var_y + C2)) from raw windowed sums sxx=E[x^2], sxy=E[xy]
     and y's _contone_terms. Variances clamp at zero; each sum adds x's and
     y's terms first, so swapping x and y keeps the bytes."""
     mu_y, mu_y2, vy = contone
     m = mu_x * mu_y
     mu_x2 = mu_x * mu_x
     vx = np.maximum(sxx - mu_x2, 0.0)
-    return (((2.0 * m + c1) * (2.0 * (sxy - m) + c2))
-            / ((mu_x2 + mu_y2 + c1) * (vx + vy + c2)))
+    return (((2.0 * m + C1) * (2.0 * (sxy - m) + C2))
+            / ((mu_x2 + mu_y2 + C1) * (vx + vy + C2)))
 
 
 def _window_stats(h, c, cfg):
     """Gaussian-window sums (mu_h, E[h^2], E[hc]), the contone's
     _contone_terms, and its local contrast sigma_c = min(gain * windowed
     std of c, 1)."""
-    g = gaussian_factor(cfg.ssim_window, cfg.ssim_sigma)
+    g = gaussian_factor(cfg.ssim_window, SSIM_SIGMA)
     contone = _contone_terms(c, cfg)
-    sigma_c = np.minimum(cfg.contrast_gain * np.sqrt(contone[2]), 1.0)
+    sigma_c = np.minimum(CONTRAST_GAIN * np.sqrt(contone[2]), 1.0)
     return (correlate_separable(h, g), correlate_separable(h * h, g),
             correlate_separable(h * c, g), contone, sigma_c)
 
@@ -166,7 +170,7 @@ def ssim_and_cssim(h, c, cfg=None, region="valid"):
     h = np.asarray(h, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     *sums, sc = _window_stats(h, c, cfg)
-    s_map = _ssim_from_stats(*sums, cfg.c1, cfg.c2)
+    s_map = _ssim_from_stats(*sums)
     cs_map = _cssim_map(sc, s_map)
     return ((_region_mean(s_map, cfg, region), s_map),
             (_region_mean(cs_map, cfg, region), cs_map))
@@ -208,12 +212,12 @@ class RewardContext:
         if self.c.shape != self.h.shape:
             raise ValueError("halftone and contone shapes differ")
         self.kernel = build_kernel(cfg.hvs)
-        self.w = build_gaussian_kernel(cfg.ssim_window, cfg.ssim_sigma)
+        self.w = build_gaussian_kernel(cfg.ssim_window, SSIM_SIGMA)
         self.e = filtered_error(self.h, self.c, cfg.hvs)
         (self.mu_h, self.shh, self.shc, self.contone,
          self.sigma_c) = _window_stats(self.h, self.c, cfg)
         self.ssim_map = _ssim_from_stats(self.mu_h, self.shh, self.shc,
-                                         self.contone, cfg.c1, cfg.c2)
+                                         self.contone)
         self.cssim_map = _cssim_map(self.sigma_c, self.ssim_map)
         self.mse = (self.e * self.e).mean(axis=(-2, -1))
         self.cssim_scalar = self.cssim_map.mean(axis=(-2, -1))
@@ -257,7 +261,6 @@ def _delta_cssim_map(ctx, delta):
     hgt, wid = ctx.h.shape[-2:]
     wh = ctx.cfg.ssim_window // 2
     out = np.zeros_like(delta)
-    c1, c2 = ctx.cfg.c1, ctx.cfg.c2
     q = 2.0 * ctx.h * delta + delta * delta
     # binary h toggled to 1 - h: q == delta, E[h^2] == mu_h, so shh1 is mu1
     toggle = np.array_equal(q, delta) and np.array_equal(ctx.shh, ctx.mu_h)
@@ -277,6 +280,6 @@ def _delta_cssim_map(ctx, delta):
             shh1 = mu1 if toggle else ctx.shh[sb] + wd * q[sa]
             shc1 = ctx.shc[sb] + wdv * ctx.c[sa]
             s_new = _ssim_from_stats(mu1, shh1, shc1,
-                                     [t[sb] for t in ctx.contone], c1, c2)
+                                     [t[sb] for t in ctx.contone])
             out[sa] += ctx.sigma_c[sb] * (s_new - ctx.ssim_map[sb])
     return out

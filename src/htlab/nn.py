@@ -34,7 +34,10 @@ that fills it; a workspace holds one input geometry at a time.
 Gradients are exact analytic transposes of the forward ops; training injects
 an upstream dL/dp at the sigmoid output and backpropagates to every weight.
 Checkpoints are a fixed little-endian binary: magic "HTNN", version, arch,
-then float64 parameter and Adam moment blobs.
+then float64 parameter and Adam moment blobs. read_checkpoint hands out
+read-only views of the file's bytes, and gradients stay unwritten zero pages
+until a backward, so loading a policy for inference holds the file and one
+copy of its parameters.
 """
 
 import math
@@ -53,13 +56,19 @@ _BLOCK = 2 ** 15
 # switches kernels at 10^6 multiply-adds, and at Cin in {2, 3, 4, 12} with
 # Cout >= 16 the two kernels sum in different orders
 _BACKWARD_MACS = 2 ** 20
+# Adam's moment decay rates and denominator floor (Kingma and Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class Parameter:
     __slots__ = ("value", "grad")
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        # np.zeros pages stay unwritten, and so not resident, until a backward
+        self.grad = np.zeros(self.value.shape)
 
 
 class Workspace:
@@ -308,18 +317,15 @@ class PolicyNetwork:
 class Adam:
     """Bias-corrected Adam over a fixed parameter list."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params):
         self.params = list(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
 
     def step(self, lr):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         with np.errstate(over="ignore", invalid="ignore"):
@@ -329,7 +335,7 @@ class Adam:
                 m += (1.0 - b1) * g
                 v *= b2
                 v += (1.0 - b2) * (g * g)
-                p.value -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+                p.value -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
                 # a checkpoint cannot hold a non-finite parameter or moment
                 if not all(np.isfinite(a).all() for a in (p.value, m, v)):
                     raise FloatingPointError("non-finite Adam update")
@@ -382,7 +388,8 @@ def _param_count(in_ch, ch, blocks):
 
 
 def read_checkpoint(path):
-    """Returns (meta dict, list of parameter arrays, adam m, adam v).
+    """Returns (meta dict, list of parameter arrays, adam m, adam v), each
+    array a read-only view of the file's bytes.
 
     adam blobs are None when the file carries bare parameters.
     """
@@ -414,24 +421,14 @@ def read_checkpoint(path):
         raise CheckpointError("checkpoint holds non-finite values")
     probe = PolicyNetwork(channels=ch, blocks=blocks, in_channels=in_ch)
     shapes = [p.value.shape for p in probe.params()]
-    sizes = [int(np.prod(s)) for s in shapes]
+    cuts = np.cumsum([math.prod(s) for s in shapes])[:-1]
+    # one row for the parameters, then one each for Adam's m and v
+    blobs = [[part.reshape(s) for part, s in zip(np.split(row, cuts), shapes)]
+             for row in body.reshape(-1, n_params)]
+    values, m, v = blobs + [None] * (3 - len(blobs))
     meta = {"in_channels": in_ch, "channels": ch, "blocks": blocks,
             "iteration": iteration, "adam_t": adam_t,
             "rng_state": tuple(rng_state)}
-
-    def split(vec):
-        out, at = [], 0
-        for shape, size in zip(shapes, sizes):
-            out.append(vec[at:at + size].reshape(shape).copy())
-            at += size
-        return out
-
-    values = split(body[:n_params])
-    if len(body) == 3 * n_params:
-        m = split(body[n_params:2 * n_params])
-        v = split(body[2 * n_params:])
-    else:
-        m = v = None
     return meta, values, m, v
 
 

@@ -328,7 +328,6 @@ def delta_cssim_map_per_offset(ctx, delta):
     hgt, wid = ctx.h.shape[-2:]
     wh = ctx.cfg.ssim_window // 2
     out = np.zeros_like(delta)
-    c1, c2 = ctx.cfg.c1, ctx.cfg.c2
     for dy in range(-wh, wh + 1):
         y0, y1 = max(0, -dy), min(hgt, hgt - dy)
         if y0 >= y1:
@@ -347,7 +346,7 @@ def delta_cssim_map_per_offset(ctx, delta):
             shh1 = ctx.shh[sb] + wd * (2.0 * hv * dv + dv * dv)
             shc1 = ctx.shc[sb] + wd * dv * cv
             s_new = metrics._ssim_from_stats(
-                mu1, shh1, shc1, [t[sb] for t in ctx.contone], c1, c2)
+                mu1, shh1, shc1, [t[sb] for t in ctx.contone])
             out[sa] += ctx.sigma_c[sb] * (s_new - ctx.ssim_map[sb])
     return out
 

@@ -549,6 +549,21 @@ class TestConfigParsing:
         assert key in done.stderr
         assert not (tmp_path / "run").exists()
 
+    def test_largest_accepted_config_out_of_memory_is_data_error(
+            self, tmp_path):
+        # validate() admits this config, but a training step keeps every
+        # layer's input, far more than a 3 GB address space holds
+        cfg, values = train_config(
+            tmp_path, channels=rl.MAX_CHANNELS, blocks=rl.MAX_BLOCKS,
+            batch_size=rl.MAX_BATCH_SIZE, crop_size=16)
+        write_contone(Path(values["dataset_dir"]) / "img.pgm", size=16)
+        done = run_cli_limited(["train", "--config", cfg], tmp_path)
+        assert done.returncode == 3, done.stderr
+        assert "internal error" not in done.stderr
+        for name in ("batch_size 1024", "crop_size 16,", "128 channels"):
+            assert name in done.stderr
+        assert (tmp_path / "run" / "log.csv").is_file()
+
     def test_size_bounds_admit_the_paper_config_and_themselves(self):
         rl.TrainConfig().validate()
         rl.TrainConfig(channels=rl.MAX_CHANNELS, blocks=rl.MAX_BLOCKS,

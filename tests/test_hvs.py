@@ -104,7 +104,7 @@ class TestCachedArrays:
         ctx = metrics.reward(np.zeros((12, 12)), np.zeros((12, 12)), mcfg)
         assert ctx.kernel is build_kernel(mcfg.hvs)
         assert ctx.w is build_gaussian_kernel(mcfg.ssim_window,
-                                              mcfg.ssim_sigma)
+                                              metrics.SSIM_SIGMA)
         assert gaussian_factor(5, 2.0) is gaussian_factor(5, 2.0)
 
     def test_writes_raise(self):
@@ -112,8 +112,8 @@ class TestCachedArrays:
         part = spectral.ring_partition((6, 6))
         shared = [build_kernel(HvsConfig()),
                   build_kernel(HvsConfig(model="gaussian")),
-                  build_gaussian_kernel(mcfg.ssim_window, mcfg.ssim_sigma),
-                  gaussian_factor(mcfg.ssim_window, mcfg.ssim_sigma),
+                  build_gaussian_kernel(mcfg.ssim_window, metrics.SSIM_SIGMA),
+                  gaussian_factor(mcfg.ssim_window, metrics.SSIM_SIGMA),
                   classic._edge_class(HvsConfig(), (1, 5, 0, 5))[0],
                   part.ring_index, part.radii, part.counts]
         for arr in shared:

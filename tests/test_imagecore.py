@@ -44,7 +44,7 @@ class TestRng:
     def test_xoshiro_reference_vectors(self):
         r = Rng(0)
         r.set_state_words((1, 2, 3, 4))
-        assert tuple(r.next_uint64() for _ in range(6)) == XOSHIRO_FROM_1234
+        assert tuple(r._words(6).tolist()) == XOSHIRO_FROM_1234
 
     def test_seeding_uses_splitmix(self):
         r = Rng(42)
@@ -64,7 +64,8 @@ class TestRng:
     def test_uniform_is_53_bit_mantissa(self):
         r1, r2 = Rng(3), Rng(3)
         for _ in range(100):
-            assert r1.uniform() == (r2.next_uint64() >> 11) * 2.0 ** -53
+            word = r2._words(1).tolist()[0]
+            assert r1.uniform() == (word >> 11) * 2.0 ** -53
 
     def test_uniforms_matches_scalar_stream(self):
         # single draws step Python ints, vector draws record words in
@@ -175,7 +176,7 @@ class TestRng:
             trig = math.cos if k % 2 == 0 else math.sin
             want.append(math.sqrt(-2.0 * math.log(1.0 - u1))
                         * trig(2.0 * math.pi * u2))
-        got.append(r.next_uint64())
+        got += r._words(1).tolist()
         want += oracle(1)
         got.append(r.randint(1000))
         want.append(int(uniforms(1)[0] * 1000))
@@ -325,6 +326,28 @@ class TestNetpbm:
         path.write_bytes(b"P2 1 1 4 9")                   # sample > maxval
         with pytest.raises(NetpbmError):
             load_pgm(path)
+        path.write_bytes(b"P2 2 1 255\n7 x9\n")
+        with pytest.raises(NetpbmError, match=r"^expected integer for "
+                           r"sample 1 at byte 13, got b'x9'$"):
+            load_pgm(path)
+        path.write_bytes(b"P2 3 1 4\n1 #c\n 9 2")
+        with pytest.raises(NetpbmError,
+                           match=r"^sample 1 out of range near byte 16$"):
+            load_pgm(path)
+        path.write_bytes(b"P2 2 1 255 7 ")
+        with pytest.raises(NetpbmError, match=r"^unexpected end of file at "
+                           r"byte 13 while reading sample 1$"):
+            load_pgm(path)
+
+    @pytest.mark.parametrize("data", [b"P41 1\n\x00",
+                                      b"P52 1\n255\n\x00\x00",
+                                      b" P4 1 1\n\x00"])
+    def test_magic_is_the_whole_first_token(self, tmp_path, data):
+        path = tmp_path / "m.pnm"
+        path.write_bytes(data)
+        for load in (load_pgm, load_pbm):
+            with pytest.raises(NetpbmError, match="bad magic at byte 0"):
+                load(path)
 
     def test_pbm_roundtrip(self, tmp_path):
         rng = Rng(8)

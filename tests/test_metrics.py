@@ -161,8 +161,8 @@ class TestSsim:
         c[..., :16, :16] = 0.5
         c[..., -20:, 8:40] = 0.2
         h = (rng.uniforms(c.size).reshape(shape) < c).astype(np.float64)
-        w = build_gaussian_kernel(cfg.ssim_window, cfg.ssim_sigma)
-        want = oracles.ssim_map_brute(h, c, w, cfg.c1, cfg.c2,
+        w = build_gaussian_kernel(cfg.ssim_window, metrics.SSIM_SIGMA)
+        want = oracles.ssim_map_brute(h, c, w, metrics.C1, metrics.C2,
                                       mean=oracles.correlate_2d_dense)
         _, s_map = metrics.ssim_and_cssim(h, c, cfg, region="full")[0]
         assert np.max(np.abs(s_map - want)) < 1e-12
@@ -171,8 +171,8 @@ class TestSsim:
         rng = Rng(23)
         x = helpers.random_contone(rng, 8, 8)
         y = helpers.random_halftone(rng, 8, 8)
-        w = build_gaussian_kernel(SMALL.ssim_window, SMALL.ssim_sigma)
-        want = oracles.ssim_map_brute(x, y, w, SMALL.c1, SMALL.c2)
+        w = build_gaussian_kernel(SMALL.ssim_window, metrics.SSIM_SIGMA)
+        want = oracles.ssim_map_brute(x, y, w, metrics.C1, metrics.C2)
         _, s_map = ssim(x, y, SMALL, region="full")
         assert np.max(np.abs(s_map - want)) < 1e-12
 
@@ -210,8 +210,8 @@ class TestContrastMap:
     def test_matches_brute_oracle(self):
         rng = Rng(31)
         c = helpers.random_contone(rng, 8, 9)
-        w = build_gaussian_kernel(SMALL.ssim_window, SMALL.ssim_sigma)
-        want = oracles.contrast_map_brute(c, w, SMALL.contrast_gain)
+        w = build_gaussian_kernel(SMALL.ssim_window, metrics.SSIM_SIGMA)
+        want = oracles.contrast_map_brute(c, w, metrics.CONTRAST_GAIN)
         assert np.max(np.abs(contrast_map(c, SMALL) - want)) < 1e-12
 
 
@@ -256,11 +256,11 @@ class TestRewardContext:
         c = helpers.random_contone(rng, 9, 9)
         h = helpers.random_halftone(rng, 9, 9)
         k = build_kernel(SMALL.hvs)
-        w = build_gaussian_kernel(SMALL.ssim_window, SMALL.ssim_sigma)
+        w = build_gaussian_kernel(SMALL.ssim_window, metrics.SSIM_SIGMA)
         for w_s in (0.0, 0.06):
             cfg = small_cfg(w_s)
-            want = oracles.reward_brute(h, c, k, w, w_s, cfg.c1, cfg.c2,
-                                        cfg.contrast_gain,
+            want = oracles.reward_brute(h, c, k, w, w_s, metrics.C1,
+                                        metrics.C2, metrics.CONTRAST_GAIN,
                                         np.ones((9, 9), dtype=bool))
             assert reward(h, c, cfg).reward == pytest.approx(want, abs=1e-13)
 
@@ -284,7 +284,7 @@ class TestRewardContext:
                      * levels) / (levels - 1)
         c = rng.uniforms(h.size).reshape(shape)
         cfg = MetricConfig()
-        g = gaussian_factor(cfg.ssim_window, cfg.ssim_sigma)
+        g = gaussian_factor(cfg.ssim_window, metrics.SSIM_SIGMA)
         mu_h, shh, shc, contone, _ = metrics._window_stats(h, c, cfg)
         mu_c = correlate_separable(c, g)
         var = np.maximum(correlate_separable(c * c, g) - mu_c * mu_c, 0.0)

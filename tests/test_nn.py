@@ -11,7 +11,11 @@ helpers.pad and helpers.crop.
 """
 
 import copy
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,6 +500,47 @@ class TestCheckpoints:
         assert meta["iteration"] == 2
         x = net_input(seed=29, size=4)
         assert np.array_equal(net.forward(x), rebuilt.forward(x))
+
+    def test_read_arrays_are_read_only_views(self, tmp_path):
+        net, adam = self._trained_pair()
+        path = tmp_path / "ck.htnn"
+        save_checkpoint(path, net, adam)
+        _, values, m, v = read_checkpoint(path)
+        assert not any(a.flags.writeable for a in values + m + v)
+
+    def test_inference_load_holds_the_file_and_one_parameter_copy(
+            self, tmp_path):
+        # a 128x16 policy with Adam moments: the file is 3x the parameter
+        # bytes. Loading it for inference in a fresh interpreter may raise
+        # its peak RSS by the file plus 2x the parameter bytes (the net's
+        # own values and slack), not by a copy of every blob and a touched
+        # gradient per parameter. The peak is the kernel's VmHWM, which
+        # starts afresh at exec, unlike ru_maxrss, which inherits the peak
+        # of the process that spawned the interpreter
+        net = PolicyNetwork(channels=128, blocks=16, in_channels=2)
+        param_bytes = 8 * sum(p.value.size for p in net.params())
+        path = tmp_path / "big.htnn"
+        save_checkpoint(path, net, Adam(net.params()))
+        del net
+        file_bytes = path.stat().st_size
+        assert file_bytes > 3 * param_bytes
+        code = ("import sys\n"
+                "from htlab.nn import network_from_checkpoint\n"
+                "def status(key):\n"
+                "    with open('/proc/self/status') as fh:\n"
+                "        line = next(l for l in fh if l.startswith(key))\n"
+                "    return int(line.split()[1]) * 1024\n"
+                "before = status('VmRSS:')\n"
+                "network_from_checkpoint(sys.argv[1])\n"
+                "print(status('VmHWM:') - before)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", code, str(path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) <= file_bytes + 2 * param_bytes
 
     def test_bare_params_file(self, tmp_path):
         net, _ = self._trained_pair()

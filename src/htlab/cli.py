@@ -1,14 +1,15 @@
 """Command-line surface: halftone conversion, training, evaluation,
 spectral reports, kernel inspection.
 
-Exit codes: 0 success, 2 usage error, 3 data error (unreadable or
-inconsistent inputs), 4 internal invariant breach.
+Exit codes: 0 success, 2 usage error, 3 data error (unreadable, inconsistent
+or too large inputs), 4 internal invariant breach.
 
-Every command writes a JSON run manifest next to its primary output with
-the resolved arguments, seed, version, timestamps, the numpy and BLAS build
-and a sha256 per output file, so a run can be replayed and its outputs
-audited for tampering. The build is there because network bytes depend on
-the BLAS kernels.
+A command returns (manifest path, seed, outputs); main times it and writes
+a JSON run manifest next to its primary output with the command, argv,
+resolved arguments, seed, version, timestamps, the numpy and BLAS build and
+a sha256 per output file, so a run can be replayed and its outputs audited
+for tampering. The build is there because network bytes depend on the BLAS
+kernels.
 Reruns with identical arguments and seed produce byte-identical outputs
 (the manifest's timestamps are the one deliberate exception).
 """
@@ -131,12 +132,7 @@ def _load_policy(args):
     """The --method nn network, read once per command; None otherwise."""
     if args.method != "nn":
         return None
-    net, _ = network_from_checkpoint(args.checkpoint)
-    if net.in_channels != 2:
-        raise DataError(f"{args.checkpoint}: the policy takes "
-                        f"{net.in_channels} input channels, but --method nn "
-                        f"feeds it 2 (contone and noise)")
-    return net
+    return network_from_checkpoint(args.checkpoint)[0]
 
 
 def _synthesize(c, rng, args, policy):
@@ -200,8 +196,7 @@ def _check_synthesis_flags(args):
         raise UsageError(f"--size must lie in [1, {MAX_SIZE}]")
 
 
-def cmd_halftone(args, argv):
-    started = _now()
+def cmd_halftone(args):
     if not args.method:
         raise UsageError("halftone requires --method")
     _check_synthesis_flags(args)
@@ -214,8 +209,7 @@ def cmd_halftone(args, argv):
         save_pbm(out, args.output)
     if getattr(args, "trace", None):
         outputs.append(args.trace)
-    write_manifest(args.output + ".manifest.json", "halftone", argv,
-                   _resolved(args), args.seed, outputs, started, _now())
+    return args.output + ".manifest.json", args.seed, outputs
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +287,7 @@ def load_dataset(directory, crop_size):
     return images
 
 
-def cmd_train(args, argv):
-    started = _now()
+def cmd_train(args):
     cfg = load_train_config(args.config)
     if not cfg.out_dir:
         raise UsageError("config must set out_dir")
@@ -335,10 +328,9 @@ def cmd_train(args, argv):
     save_checkpoint(model_path, net, adam, iteration=cfg.iterations,
                     rng_state=rng.state_words())
     _write_csv(log_path, log_columns, log_rows)
-    resolved = dict(_resolved(args), config_values=vars(cfg).copy())
-    write_manifest(os.path.join(cfg.out_dir, "manifest.json"), "train", argv,
-                   resolved, cfg.seed,
-                   [model_path, log_path] + checkpoints, started, _now())
+    args.config_values = vars(cfg).copy()
+    return (os.path.join(cfg.out_dir, "manifest.json"), cfg.seed,
+            [model_path, log_path] + checkpoints)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +366,7 @@ def _eval_one(stem, contone_path, args, index, policy):
             s, cs)
 
 
-def cmd_eval(args, argv):
-    started = _now()
+def cmd_eval(args):
     if bool(args.halftone_dir) == bool(args.method):
         raise UsageError("give exactly one of --halftone-dir or --method")
     _check_synthesis_flags(args)
@@ -393,8 +384,7 @@ def cmd_eval(args, argv):
     _write_csv(args.output,
                ("image", "psnr_nasanen", "psnr_gaussian", "ssim", "cssim"),
                rows, comments=("region = valid",))
-    write_manifest(args.output + ".manifest.json", "eval", argv,
-                   _resolved(args), args.seed, [args.output], started, _now())
+    return args.output + ".manifest.json", args.seed, [args.output]
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +399,7 @@ def _spectra_one(args, index, policy):
     return rapsd(periodogram(x))
 
 
-def cmd_spectra(args, argv):
-    started = _now()
+def cmd_spectra(args):
     if not 1 <= args.realizations <= MAX_REALIZATIONS:
         raise UsageError(f"--realizations must lie in [1, "
                          f"{MAX_REALIZATIONS}]")
@@ -439,23 +428,20 @@ def cmd_spectra(args, argv):
     _write_csv(args.output,
                ("f_rho", "power", "anisotropy", "anisotropy_db", "count"),
                rows)
-    write_manifest(args.output + ".manifest.json", "spectra", argv,
-                   _resolved(args), args.seed, [args.output], started, _now())
+    return args.output + ".manifest.json", args.seed, [args.output]
 
 
 # ---------------------------------------------------------------------------
 # dump-kernel
 
-def cmd_dump_kernel(args, argv):
-    started = _now()
+def cmd_dump_kernel(args):
     try:
         kernel = build_kernel(HvsConfig(model=args.model, size=args.size,
                                         scale=args.scale, sigma=args.sigma))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     dump_kernel_csv(kernel, args.output)
-    write_manifest(args.output + ".manifest.json", "dump-kernel", argv,
-                   _resolved(args), 0, [args.output], started, _now())
+    return args.output + ".manifest.json", 0, [args.output]
 
 
 # ---------------------------------------------------------------------------
@@ -547,14 +533,21 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started = _now()
     try:
-        args.func(args, argv)
+        manifest_path, seed, outputs = args.func(args)
+        write_manifest(manifest_path, args.command, argv, _resolved(args),
+                       seed, outputs, started, _now())
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (DataError, NetpbmError, CheckpointError, FileNotFoundError,
             IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"data error: the {args.command} input does not fit in "
+              f"memory ({exc!r})", file=sys.stderr)
         return 3
     except Exception as exc:                   # noqa: BLE001
         print(f"internal error: {exc!r}", file=sys.stderr)

@@ -24,12 +24,13 @@ count, so the tests pin that form's bytes only where they were measured
 (numpy 2.4.6, OpenBLAS 0.3.31, 1 and 2 BLAS threads, at the shapes the
 README lists); elsewhere the two agree to rounding.
 
-A training forward keeps a reference to each layer's input (backward needs
-it); a forward-only call (train=False, as inference runs) keeps nothing,
-and backward must wait for the next training forward. The tap weights, the
-GEMM products and the weight-gradient scratch live in a Workspace that the
-layers of one PolicyNetwork share, since none of them outlives the call
-that fills it; a workspace holds one input geometry at a time.
+A training forward keeps each conv's input and p, nothing else (a block
+reads its ReLU mask back from its second conv's input); a forward-only call
+(train=False, as inference runs) keeps nothing, and backward must wait for
+the next training forward. The tap weights, the GEMM products and the
+weight-gradient scratch live in a Workspace that the layers of one
+PolicyNetwork share, since none of them outlives the call that fills it; a
+workspace holds one input geometry at a time.
 
 Gradients are exact analytic transposes of the forward ops; training injects
 an upstream dL/dp at the sigmoid output and backpropagates to every weight.
@@ -214,20 +215,18 @@ class ResidualBlock:
     def __init__(self, channels, workspace):
         self.conv1 = Conv2d(channels, channels, workspace)
         self.conv2 = Conv2d(channels, channels, workspace)
-        self._relu_mask = None
 
     def forward(self, x, train=True):
         y = self.conv1.forward(x, train)
-        mask = y > 0
-        self._relu_mask = mask if train else None
-        np.multiply(y, mask, out=y)
+        np.multiply(y, y > 0, out=y)
         out = self.conv2.forward(y, train)
         out += x
         return out
 
     def backward(self, dout):
         dy = self.conv2.backward(dout)
-        dy = dy * self._relu_mask
+        # conv2 kept relu(y), which is > 0 exactly where y > 0
+        dy *= self.conv2._xb > 0
         return dout + self.conv1.backward(dy)
 
     def params(self):
@@ -237,14 +236,16 @@ class ResidualBlock:
 class PolicyNetwork:
     """Input conv (2 -> C), B residual blocks, output conv (C -> 1), sigmoid."""
 
-    def __init__(self, channels=32, blocks=16, in_channels=2):
+    # every input is the contone and its noise map
+    in_channels = 2
+
+    def __init__(self, channels=32, blocks=16):
         self.channels = channels
         self.blocks = blocks
-        self.in_channels = in_channels
         # one workspace for every layer: a layer's scratch never outlives
         # its call
         ws = Workspace()
-        self.conv_in = Conv2d(in_channels, channels, ws)
+        self.conv_in = Conv2d(self.in_channels, channels, ws)
         self.res = [ResidualBlock(channels, ws) for _ in range(blocks)]
         self.conv_out = Conv2d(channels, 1, ws)
         self._p = None
@@ -379,12 +380,12 @@ class CheckpointError(ValueError):
     pass
 
 
-def _param_count(in_ch, ch, blocks):
-    """Parameters of PolicyNetwork(ch, blocks, in_ch): 3x3 weights plus a
-    bias per output channel, for the input conv, two convs per residual
-    block and the output conv."""
-    return ((9 * in_ch + 1) * ch + blocks * 2 * (9 * ch + 1) * ch
-            + 9 * ch + 1)
+def _param_count(ch, blocks):
+    """Parameters of PolicyNetwork(ch, blocks): 3x3 weights plus a bias per
+    output channel, for the input conv, two convs per residual block and
+    the output conv."""
+    return ((9 * PolicyNetwork.in_channels + 1) * ch
+            + blocks * 2 * (9 * ch + 1) * ch + 9 * ch + 1)
 
 
 def read_checkpoint(path):
@@ -403,11 +404,13 @@ def read_checkpoint(path):
         raise CheckpointError(f"bad magic {magic!r}")
     if ver != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported version {ver}")
-    if in_ch < 1 or ch < 1:
-        raise CheckpointError(f"empty arch: {in_ch} input channels, "
-                              f"C={ch}")
+    if in_ch != PolicyNetwork.in_channels:
+        raise CheckpointError(f"{in_ch} input channels, not the policy's "
+                              f"{PolicyNetwork.in_channels}")
+    if ch < 1:
+        raise CheckpointError(f"empty arch: C={ch}")
     # check the blob against the arch before allocating anything for it
-    n_params = _param_count(in_ch, ch, blocks)
+    n_params = _param_count(ch, blocks)
     body_bytes = len(raw) - _HEADER.size
     if body_bytes % 8:
         raise CheckpointError(f"blob of {body_bytes} bytes is not whole "
@@ -419,16 +422,15 @@ def read_checkpoint(path):
     body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     if not np.all(np.isfinite(body)):
         raise CheckpointError("checkpoint holds non-finite values")
-    probe = PolicyNetwork(channels=ch, blocks=blocks, in_channels=in_ch)
+    probe = PolicyNetwork(channels=ch, blocks=blocks)
     shapes = [p.value.shape for p in probe.params()]
     cuts = np.cumsum([math.prod(s) for s in shapes])[:-1]
     # one row for the parameters, then one each for Adam's m and v
     blobs = [[part.reshape(s) for part, s in zip(np.split(row, cuts), shapes)]
              for row in body.reshape(-1, n_params)]
     values, m, v = blobs + [None] * (3 - len(blobs))
-    meta = {"in_channels": in_ch, "channels": ch, "blocks": blocks,
-            "iteration": iteration, "adam_t": adam_t,
-            "rng_state": tuple(rng_state)}
+    meta = {"channels": ch, "blocks": blocks, "iteration": iteration,
+            "adam_t": adam_t, "rng_state": tuple(rng_state)}
     return meta, values, m, v
 
 
@@ -436,8 +438,7 @@ def load_checkpoint(path, net, adam=None):
     """Restore parameters (and Adam state) into an existing net; the file
     arch must match. Returns the meta dict."""
     meta, values, m, v = read_checkpoint(path)
-    if (meta["in_channels"], meta["channels"], meta["blocks"]) != (
-            net.in_channels, net.channels, net.blocks):
+    if (meta["channels"], meta["blocks"]) != (net.channels, net.blocks):
         raise CheckpointError(
             f"arch mismatch: file C={meta['channels']} B={meta['blocks']} "
             f"vs net C={net.channels} B={net.blocks}")
@@ -457,8 +458,7 @@ def load_checkpoint(path, net, adam=None):
 def network_from_checkpoint(path):
     """Build a fresh net with the arch recorded in the file."""
     meta, values, _, _ = read_checkpoint(path)
-    net = PolicyNetwork(channels=meta["channels"], blocks=meta["blocks"],
-                        in_channels=meta["in_channels"])
+    net = PolicyNetwork(channels=meta["channels"], blocks=meta["blocks"])
     for p, val in zip(net.params(), values):
         p.value[...] = val
     return net, meta

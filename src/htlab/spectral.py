@@ -4,8 +4,10 @@ differentiable ring-variance penalty.
 Frequencies are the signed DFT lattice (fx in [-W/2, W/2)); bins are grouped
 into unit-width rings by rounding the radial frequency. Radii are sqrt of
 integers and therefore never land exactly on .5, so rounding has no ties.
-The DC bin belongs to no ring; it and the one member of a singleton ring
-deviate by 0 from their mean, so neither adds to anisotropy or to the loss.
+The DC bin belongs to no ring (a partition numbers it 0, the rings from 1);
+it and the one member of a singleton ring deviate by 0 from their mean, so
+neither adds to anisotropy or to the loss. Ring sums are one bincount per
+image, with no index array: rapsd holds 3x its input at most.
 A lattice with no ring (1x1) has only its DC bin. Every function takes one
 (H, W) image or a stack of them (leading axes are a batch), and gives each
 image of a stack the bytes it gets alone; the loss gives one per image.
@@ -35,7 +37,7 @@ def periodogram(x):
 @dataclass(frozen=True)
 class RingPartition:
     shape: tuple
-    ring_index: np.ndarray = field(repr=False)   # -1 marks the DC bin
+    bins: np.ndarray = field(repr=False)         # DC is 0, rings from 1
     radii: np.ndarray = field(repr=False)        # integer ring radii, from 1
     counts: np.ndarray = field(repr=False)       # members per ring
 
@@ -59,11 +61,11 @@ def ring_partition(shape):
         .astype(np.int64)
     # members per integer radius; the radii that have any are the rings, and
     # a running count of them is each radius's dense index. Radius 0 holds
-    # only DC (other bins have rho >= 1), so rings index from 0
+    # only DC (other bins have rho >= 1), so DC is 0 and rings index from 1
     counts = np.bincount(radius.ravel())
     radii = np.flatnonzero(counts)
     dense = np.cumsum(counts > 0) - 1
-    arrays = (dense[radius] - 1, radii[1:], counts[radii[1:]])
+    arrays = (dense[radius], radii[1:], counts[radii[1:]])
     for arr in arrays:
         arr.flags.writeable = False
     return RingPartition((hgt, wid), *arrays)
@@ -80,14 +82,12 @@ class RapsdCurve:
 
 def _ring_sums(part, values):
     """Per-ring sums of each image, DC first as bin 0: (..., R + 1). One
-    bincount, offset per image, adds each bin's members in raster order."""
-    lead = values.shape[:-2]
-    nbins = len(part.radii) + 1
-    n = math.prod(lead)
-    index = part.ring_index + 1 + nbins * np.arange(n)[:, None, None]
-    sums = np.bincount(index.ravel(), weights=values.ravel(),
-                       minlength=n * nbins)
-    return sums.reshape(lead + (nbins,))
+    bincount per image adds each bin's members in raster order."""
+    bins = part.bins.ravel()
+    images = values.reshape((-1,) + bins.shape)
+    sums = [np.bincount(bins, weights=x, minlength=len(part.radii) + 1)
+            for x in images]
+    return np.reshape(sums, values.shape[:-2] + (-1,))
 
 
 def _ring_stats(p_hat, part):
@@ -99,7 +99,7 @@ def _ring_stats(p_hat, part):
         raise ValueError("partition shape mismatch")
     mean = _ring_sums(part, p_hat)
     mean[..., 1:] /= part.counts
-    dev = np.take(mean, part.ring_index + 1, axis=-1)
+    dev = np.take(mean, part.bins, axis=-1)
     return part, mean[..., 1:], np.subtract(p_hat, dev, out=dev)
 
 

@@ -309,16 +309,17 @@ def policy_network_tensordot(net, x, dp=None):
 
 
 def ring_partition_unique(shape):
-    """(ring_index, radii, counts) of spectral.ring_partition as np.unique
-    gives them: the sorted distinct rounded radii, each bin's dense index
-    among them and their member counts, with the DC radius 0 dropped."""
+    """(bins, radii, counts) of spectral.ring_partition as np.unique gives
+    them: each bin's dense index among the sorted distinct rounded radii
+    (DC's radius 0 first), then the radii and their member counts with
+    radius 0 dropped."""
     hgt, wid = shape
     fy = ((np.arange(hgt) + hgt // 2) % hgt) - hgt // 2
     fx = ((np.arange(wid) + wid // 2) % wid) - wid // 2
     rho = np.sqrt(fy[:, None] ** 2.0 + fx[None, :] ** 2.0)
     radii, dense, counts = np.unique(np.rint(rho).astype(np.int64),
                                      return_inverse=True, return_counts=True)
-    return dense.reshape(hgt, wid) - 1, radii[1:], counts[1:]
+    return dense.reshape(hgt, wid), radii[1:], counts[1:]
 
 
 def delta_cssim_map_per_offset(ctx, delta):

@@ -7,6 +7,7 @@ run cli.main in a child interpreter under an address-space limit, where a
 missing bound ends in MemoryError instead of taking the machine's memory.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from htlab import cli, rl
+from htlab import cli, nn, rl
 from htlab.classic import floyd_steinberg
 from htlab.hvs import HvsConfig, build_kernel
 from htlab.imagecore import (Rng, constant_image, derive_seed, load_pgm,
@@ -53,7 +54,7 @@ def contone(tmp_path):
 
 @pytest.fixture
 def tiny_checkpoint(tmp_path):
-    net = PolicyNetwork(channels=2, blocks=0, in_channels=2)
+    net = PolicyNetwork(channels=2, blocks=0)
     net.init_params(Rng(0), std=0.5)
     path = tmp_path / "policy.htnn"
     save_checkpoint(str(path), net)
@@ -83,7 +84,7 @@ def train_config(tmp_path, **overrides):
 def run_cli_limited(args, cwd, limit=3 * 10 ** 9):
     """cli.main(args) in a child interpreter whose address space is capped
     at `limit` bytes, so an allocation a command should never attempt ends
-    there in MemoryError (exit 4) instead of taking the machine's memory."""
+    there in MemoryError instead of taking the machine's memory."""
     code = ("import resource, sys\n"
             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
             "from htlab import cli\n"
@@ -127,7 +128,7 @@ class TestExitCodes:
         # 128 channels over a 2048² image: under a 3 GB address-space limit
         # the first layer's 4.3 GB padded input ends in MemoryError, which
         # the command reports as a data error naming the image and policy
-        net = PolicyNetwork(channels=128, blocks=0, in_channels=2)
+        net = PolicyNetwork(channels=128, blocks=0)
         net.init_params(Rng(0), std=0.1)
         ck = tmp_path / "wide.htnn"
         save_checkpoint(str(ck), net)
@@ -152,7 +153,7 @@ class TestExitCodes:
         # 32 channels over a 1025x1024 image exceed rl.MAX_ACTIVATION, the
         # bound on a training batch; forward-only inference keeps no
         # activations and needs about 1.2 GB here, within a 3 GB limit
-        net = PolicyNetwork(channels=32, blocks=0, in_channels=2)
+        net = PolicyNetwork(channels=32, blocks=0)
         net.init_params(Rng(0), std=0.1)
         assert net.channels * 1025 * 1024 > rl.MAX_ACTIVATION
         ck = tmp_path / "policy.htnn"
@@ -167,6 +168,22 @@ class TestExitCodes:
                                tmp_path)
         assert done.returncode == 0, done.stderr
         assert out.exists()
+
+    def test_image_too_large_for_memory_is_data_error(self, tmp_path):
+        # a 20000x20000 P4 file is 50 MB, written sparse here; its float64
+        # image (3.2 GB) does not fit under a 3 GB address-space limit
+        big = tmp_path / "big.pbm"
+        header = b"P4\n20000 20000\n"
+        with open(big, "wb") as fh:
+            fh.write(header)
+            fh.truncate(len(header) + 20000 // 8 * 20000)
+        out = tmp_path / "s.csv"
+        done = run_cli_limited(["spectra", "--input", str(big), "--output",
+                                str(out)], tmp_path)
+        assert done.returncode == 3, done.stderr
+        assert "internal error" not in done.stderr
+        assert "does not fit in memory" in done.stderr
+        assert not out.exists()
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert cli.main(["halftone", "--input", str(tmp_path / "gone.pgm"),
@@ -217,14 +234,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("in_channels", [1, 3])
     def test_checkpoint_of_other_input_channels_is_data_error(
-            self, contone, tmp_path, in_channels):
-        net = PolicyNetwork(channels=2, blocks=0, in_channels=in_channels)
-        net.init_params(Rng(0), std=0.5)
+            self, contone, tmp_path, capsys, in_channels):
+        # a 2-channel, 0-block policy of another input width: its header
+        # and a blob of the length that width needs
+        header = nn._HEADER.pack(nn.CHECKPOINT_MAGIC, nn.CHECKPOINT_VERSION,
+                                 in_channels, 2, 0, 0, 0, 0, 0, 0, 0)
+        blob = np.full((9 * in_channels + 1) * 2 + 9 * 2 + 1, 0.5)
         ck = tmp_path / "other.htnn"
-        save_checkpoint(str(ck), net)
+        ck.write_bytes(header + blob.astype("<f8").tobytes())
         assert cli.main(["halftone", "--input", contone, "--output",
                          str(tmp_path / "o.pbm"), "--method", "nn",
                          "--checkpoint", str(ck)]) == 3
+        assert "input channels" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("weight", [math.nan, 1e300])
@@ -233,7 +254,7 @@ class TestExitCodes:
                                                  capsys, weight, command):
         # NaN weights are refused when the file is read; 1e300 weights are
         # finite but overflow the forward pass, and the error names the file
-        net = PolicyNetwork(channels=2, blocks=0, in_channels=2)
+        net = PolicyNetwork(channels=2, blocks=0)
         for param in net.params():
             param.value[...] = weight
         ck = str(tmp_path / "degenerate.htnn")
@@ -304,7 +325,7 @@ def mutate_checkpoint(raw, fields, keep=None, extra=b""):
 def fuzz_base(tmp_path_factory):
     """A valid checkpoint with Adam state, and a directory for mutants."""
     work = tmp_path_factory.mktemp("fuzz")
-    net = PolicyNetwork(channels=2, blocks=1, in_channels=2)
+    net = PolicyNetwork(channels=2, blocks=1)
     net.init_params(Rng(0), std=0.5)
     save_checkpoint(str(work / "base.htnn"), net, Adam(net.params()),
                     iteration=3, rng_state=(1, 2, 3, 4))
@@ -737,7 +758,7 @@ class TestEval:
                                                    monkeypatch):
         # a 24², a 40² and a 24² contone in that order: the one network's
         # workspace switches geometry between every two images
-        net = PolicyNetwork(channels=3, blocks=2, in_channels=2)
+        net = PolicyNetwork(channels=3, blocks=2)
         net.init_params(Rng(4), std=0.5)
         ck = str(tmp_path / "policy.htnn")
         save_checkpoint(ck, net)
@@ -889,6 +910,50 @@ class TestDumpKernel:
         assert captured.err.startswith("usage error: ")
         assert "not finite" in captured.err
         assert not out.exists()
+
+
+class TestManifests:
+    @pytest.mark.parametrize("command", ["halftone", "train", "eval",
+                                         "spectra", "dump-kernel"])
+    def test_names_command_argv_resolved_seed_and_outputs(
+            self, contone, tmp_path, command):
+        out = str(tmp_path / "o.out")
+        trace = str(tmp_path / "t.csv")
+        cfg, values = train_config(tmp_path)
+        run = values["out_dir"]
+        argv, seed, manifest, outputs = {
+            "halftone": (["--input", contone, "--output", out, "--method",
+                          "dbs", "--trace", trace, "--seed", "7"], 7,
+                         out + ".manifest.json", [out, trace]),
+            "train": (["--config", cfg], 3, f"{run}/manifest.json",
+                      [f"{run}/model.htnn", f"{run}/log.csv",
+                       f"{run}/ckpt_000002.htnn"]),
+            "eval": (["--contone-dir", str(Path(contone).parent),
+                      "--output", out, "--method", "fs", "--seed", "5"], 5,
+                     out + ".manifest.json", [out]),
+            "spectra": (["--gray", "0.5", "--method", "white", "--seed",
+                         "2", "--output", out], 2, out + ".manifest.json",
+                        [out]),
+            "dump-kernel": (["--output", out], 0, out + ".manifest.json",
+                            [out]),
+        }[command]
+        argv = [command] + argv
+        assert cli.main(argv) == 0
+        payload = json.loads(Path(manifest).read_text())
+        resolved = {k: v for k, v in
+                    vars(cli.build_parser().parse_args(argv)).items()
+                    if k not in ("command", "func")}
+        if command == "train":
+            assert payload["resolved"].pop("config_values") == {
+                f.name: values.get(f.name, f.default)
+                for f in fields(rl.TrainConfig)}
+        assert payload["command"] == command
+        assert payload["argv"] == argv
+        assert payload["resolved"] == resolved
+        assert payload["seed"] == seed
+        assert payload["outputs"] == {
+            path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for path in outputs}
 
 
 class TestManifestHelpers:

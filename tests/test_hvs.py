@@ -115,7 +115,7 @@ class TestCachedArrays:
                   build_gaussian_kernel(mcfg.ssim_window, metrics.SSIM_SIGMA),
                   gaussian_factor(mcfg.ssim_window, metrics.SSIM_SIGMA),
                   classic._edge_class(HvsConfig(), (1, 5, 0, 5))[0],
-                  part.ring_index, part.radii, part.counts]
+                  part.bins, part.radii, part.counts]
         for arr in shared:
             before = arr.copy()
             with pytest.raises(ValueError, match="read-only"):

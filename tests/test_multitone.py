@@ -155,7 +155,7 @@ class TestQuantize:
 
 class TestInference:
     def _net(self):
-        net = PolicyNetwork(channels=2, blocks=0, in_channels=2)
+        net = PolicyNetwork(channels=2, blocks=0)
         net.init_params(Rng(31), std=0.5)
         return net
 

@@ -30,7 +30,7 @@ from htlab.nn import (Adam, CheckpointError, Conv2d, Parameter,
 
 
 def tiny_net(seed=0, channels=3, blocks=1):
-    net = PolicyNetwork(channels=channels, blocks=blocks, in_channels=2)
+    net = PolicyNetwork(channels=channels, blocks=blocks)
     net.init_params(Rng(seed), std=0.05)
     return net
 
@@ -211,8 +211,8 @@ class TestPolicyNetwork:
         assert np.all(p < 1.0)
 
     def test_init_determinism_and_statistics(self):
-        a = PolicyNetwork(channels=8, blocks=2, in_channels=2)
-        b = PolicyNetwork(channels=8, blocks=2, in_channels=2)
+        a = PolicyNetwork(channels=8, blocks=2)
+        b = PolicyNetwork(channels=8, blocks=2)
         a.init_params(Rng(42))
         b.init_params(Rng(42))
         for pa, pb in zip(a.params(), b.params()):
@@ -399,7 +399,6 @@ class TestForwardOnly:
         net.forward(x)
         p = net.forward(x, train=False)
         assert all(conv._xb is None for conv in convs(net))
-        assert all(blk._relu_mask is None for blk in net.res)
         with pytest.raises(RuntimeError):
             net.backward(np.ones_like(p))
         with pytest.raises(RuntimeError):
@@ -407,6 +406,26 @@ class TestForwardOnly:
         # a training pass afterwards is that of a fresh network
         assert train_pass(net, x, 79) == \
             train_pass(tiny_net(seed=75, channels=4, blocks=2), x, 79)
+
+
+class TestTrainingForward:
+    def test_keeps_only_the_conv_inputs_and_p(self):
+        # backward needs every conv's input and the sigmoid output; the
+        # ReLU masks are read back from each block's second conv input, so
+        # nothing else allocated in a training forward may outlive it
+        net = tiny_net(seed=81, channels=8, blocks=4)
+        x = net_input(seed=83, size=64, batch=4)
+        net.forward(x, train=False)           # sizes the workspace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            p = net.forward(x)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        inputs = sum(conv._xb.nbytes for conv in convs(net))
+        # one block's mask alone is 4 * 67 * 66 * 8 bytes, above the slack
+        assert inputs + p.nbytes <= kept <= inputs + p.nbytes + (1 << 14)
 
 
 class TestAdam:
@@ -474,7 +493,7 @@ class TestCheckpoints:
         save_checkpoint(path, net, adam, iteration=7, rng_state=(1, 2, 3, 4))
 
         meta, values, m, v = read_checkpoint(path)
-        assert meta == {"in_channels": 2, "channels": 4, "blocks": 2,
+        assert meta == {"channels": 4, "blocks": 2,
                         "iteration": 7, "adam_t": 3, "rng_state": (1, 2, 3, 4)}
         for p, val in zip(net.params(), values):
             assert np.array_equal(p.value, val)
@@ -483,7 +502,7 @@ class TestCheckpoints:
         for buf, val in zip(adam.v, v):
             assert np.array_equal(buf, val)
 
-        fresh = PolicyNetwork(channels=4, blocks=2, in_channels=2)
+        fresh = PolicyNetwork(channels=4, blocks=2)
         fresh_adam = Adam(fresh.params())
         got = load_checkpoint(path, fresh, fresh_adam)
         assert got["iteration"] == 7
@@ -517,7 +536,7 @@ class TestCheckpoints:
         # gradient per parameter. The peak is the kernel's VmHWM, which
         # starts afresh at exec, unlike ru_maxrss, which inherits the peak
         # of the process that spawned the interpreter
-        net = PolicyNetwork(channels=128, blocks=16, in_channels=2)
+        net = PolicyNetwork(channels=128, blocks=16)
         param_bytes = 8 * sum(p.value.size for p in net.params())
         path = tmp_path / "big.htnn"
         save_checkpoint(path, net, Adam(net.params()))
@@ -548,7 +567,7 @@ class TestCheckpoints:
         save_checkpoint(path, net)
         _, _, m, v = read_checkpoint(path)
         assert m is None and v is None
-        fresh = PolicyNetwork(channels=4, blocks=2, in_channels=2)
+        fresh = PolicyNetwork(channels=4, blocks=2)
         load_checkpoint(path, fresh)          # params only: fine
         with pytest.raises(CheckpointError):
             load_checkpoint(path, fresh, Adam(fresh.params()))
@@ -558,8 +577,7 @@ class TestCheckpoints:
         path = tmp_path / "ck.htnn"
         save_checkpoint(path, net)
         with pytest.raises(CheckpointError):
-            load_checkpoint(path, PolicyNetwork(channels=4, blocks=1,
-                                                in_channels=2))
+            load_checkpoint(path, PolicyNetwork(channels=4, blocks=1))
 
     def test_corrupt_files(self, tmp_path):
         net, _ = self._trained_pair()

@@ -8,6 +8,7 @@ by the squared ring mean).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,8 +71,8 @@ class TestRingPartition:
         part = ring_partition((4, 4))
         assert part.radii.tolist() == [1, 2, 3]
         assert part.counts.tolist() == [8, 6, 1]
-        assert part.ring_index[0, 0] == -1
-        assert part.ring_index[2, 2] == 2     # the corner bin, alone
+        assert part.bins[0, 0] == 0
+        assert part.bins[2, 2] == 3     # the corner bin, alone
 
     def test_2x2_literals(self):
         part = ring_partition((2, 2))
@@ -91,7 +92,7 @@ class TestRingPartition:
     def test_cached_partition_is_read_only(self):
         part = ring_partition((4, 4))
         assert ring_partition((4, 4)) is part
-        for arr in (part.ring_index, part.radii, part.counts):
+        for arr in (part.bins, part.radii, part.counts):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
@@ -104,7 +105,7 @@ class TestRingPartition:
         (255, 256), (1000, 3), (256, 256)])
     def test_equals_the_unique_form(self, shape):
         part = ring_partition(shape)
-        got = (part.ring_index, part.radii, part.counts)
+        got = (part.bins, part.radii, part.counts)
         for a, b in zip(got, oracles.ring_partition_unique(shape)):
             assert a.dtype == b.dtype
             assert a.shape == b.shape
@@ -129,7 +130,7 @@ class TestRapsd:
         part = ring_partition((6, 6))
         curve = rapsd(p_hat, part)
         for i in range(len(part.radii)):
-            members = p_hat[part.ring_index == i]
+            members = p_hat[part.bins == i + 1]
             assert curve.counts[i] == len(members)
             assert curve.power[i] == pytest.approx(members.mean(), rel=1e-13)
             if len(members) > 1:
@@ -162,6 +163,20 @@ class TestRapsd:
             rapsd(np.zeros((4, 4)), ring_partition((2, 2)))
 
 
+    def test_traced_peak_over_a_periodogram(self):
+        # the DFT (2x the image's bytes), P and the deviations; no index
+        # array of the image's size is built
+        x = helpers.random_halftone(Rng(3), 1024, 1024)
+        ring_partition(x.shape)
+        tracemalloc.start()
+        try:
+            rapsd(periodogram(x))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * x.nbytes
+
+
 class TestAnisotropyDb:
     def test_values(self):
         out = anisotropy_db([1.0, 100.0, 0.0, -3.0, math.nan])
@@ -182,7 +197,7 @@ class TestAnisotropyLoss:
         want = 0.0
         for i in range(len(part.radii)):
             if part.counts[i] > 1:
-                members = p_hat[part.ring_index == i]
+                members = p_hat[part.bins == i + 1]
                 want += float(np.sum((members - curve.power[i]) ** 2))
         assert anisotropy_loss(x, part) == pytest.approx(want, rel=1e-12)
 
@@ -267,11 +282,11 @@ def test_partition_properties(height, width):
     """Every non-DC bin lands in exactly one ring, radii are increasing
     positive integers, and counts account for all bins but DC."""
     part = ring_partition((height, width))
-    assert part.ring_index[0, 0] == -1
+    assert part.bins[0, 0] == 0
     assert int(part.counts.sum()) == height * width - 1
     assert np.all(np.diff(part.radii) > 0)
     if len(part.radii):
         assert part.radii[0] >= 1
-        assert part.ring_index.max() == len(part.radii) - 1
-    assert np.all((part.ring_index >= 0).sum(axis=None)
+        assert part.bins.max() == len(part.radii)
+    assert np.all((part.bins >= 1).sum(axis=None)
                   == height * width - 1)

@@ -403,7 +403,7 @@ def test_cli_outputs_do_not_depend_on_blas_threads(tmp_path):
     # 64^2 is large enough for OpenBLAS to split the network's products
     # across threads
     save_pgm(helpers.natural_crop(64, seed=3), tmp_path / "im64.pgm")
-    net = PolicyNetwork(channels=8, blocks=1, in_channels=2)
+    net = PolicyNetwork(channels=8, blocks=1)
     net.init_params(Rng(4), std=0.3)
     checkpoint = tmp_path / "policy.htnn"
     save_checkpoint(str(checkpoint), net)

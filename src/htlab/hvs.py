@@ -3,21 +3,22 @@
 Two kernel families: a truncated Gaussian, and Nasanen's exponential
 contrast-sensitivity model built in the frequency domain and inverse
 transformed. Both are odd-sized, centro-symmetric and normalized to unit DC
-gain, so filtering preserves mean tone. Convolution is a direct windowed sum
+gain, so filtering preserves mean tone. Filtering is a direct windowed sum
 (no FFT path): pixel-local edits then change the output only inside the
 kernel window, which the error-diffusion-free optimizers and the estimator
-toggle algebra rely on. It adds the K^2 weighted shifted slices of one
-zero-padded array in a fixed order and calls no BLAS, so its bytes do not
-depend on the thread count or on whether an image comes alone or stacked.
+toggle algebra rely on. One tap loop, _tap_sum, takes every such sum: it
+adds the kh * kw weighted shifted slices of one zero-padded array in a
+fixed order and calls no BLAS, so its bytes do not depend on the thread
+count or on whether an image comes alone or stacked. convolve_same is the
+tap sum of the flipped K x K kernel.
 
 A Gaussian kernel is the outer product of one 1-D factor, so a Gaussian
-window is taken as two 1-D passes of K taps each (rows, then columns) by
-correlate_separable, with the same fixed order, zero padding and batch
-rule, at 2K multiply-adds a pixel instead of K^2. It agrees with the 2-D
-sum to rounding (about 1e-15 on [0, 1] inputs). filter_image is the one
-HVS filter of a configuration: the separable path for a Gaussian, the 2-D
-sum for Nasanen, whose kernel is not separable (its second singular value
-is 9.8 % of its first).
+window is taken as two tap sums of K taps each (a row window, then a
+column window) by correlate_separable, at 2K multiply-adds a pixel instead
+of K^2. It agrees with the 2-D sum to rounding (about 1e-15 on [0, 1]
+inputs). filter_image is the one HVS filter of a configuration: the
+separable path for a Gaussian, the 2-D sum for Nasanen, whose kernel is
+not separable (its second singular value is 9.8 % of its first).
 
 A kernel is a plain (K, K) float64 array and a factor a (K,) one. Each
 builder caches its arrays, so every caller of one configuration shares one
@@ -133,66 +134,56 @@ def build_nasanen_kernel(size, scale):
                              mid - half:mid + half + 1].copy())
 
 
+def _tap_sum(img, w):
+    """Same-size correlation with the odd (kh, kw) window w, zero padding,
+    over the last two axes; leading axes are a batch. Every pixel adds its
+    taps to zero in row-major order, so a stack gives each image the bytes
+    it gets alone. A tap is one contiguous slice of the flattened padded
+    image, whose rows are W + kw - 1 long; the sum keeps that row length
+    and is cropped at the end, so the result is a view."""
+    kh, kw = w.shape
+    lead = img.shape[:-2]
+    rows, cols = img.shape[-2:]
+    top, left = kh // 2, kw // 2
+    stride = cols + 2 * left
+    pad = np.zeros(lead + (rows + 2 * top, stride))
+    pad[..., top:top + rows, left:left + cols] = img
+    flat = pad.reshape(lead + (pad.shape[-2] * stride,))
+    # pixel (r, c) is element r*stride + c of the sum and of the slice of
+    # tap (i, j), which starts i*stride + j elements into the padded image
+    n = max(rows * stride - 2 * left, 0)
+    out = np.zeros(lead + (rows, stride))
+    acc = out.reshape(lead + (rows * stride,))[..., :n]
+    tap = np.empty(lead + (n,))
+    for i, j in np.ndindex(kh, kw):
+        at = i * stride + j
+        np.multiply(flat[..., at:at + n], w[i, j], out=tap)
+        acc += tap
+    return out[..., :cols]
+
+
 def convolve_same(img, kernel):
     """Same-size direct convolution with zero padding over the last two
-    axes; leading axes are a batch. Every pixel sums its taps in row-major
-    order, so a stack gives each image the bytes it gets alone. A tap is
-    one contiguous slice of the flattened padded image, whose rows are
-    W + K - 1 long; the sum keeps that row length and is cropped at the
-    end."""
+    axes; leading axes are a batch: the tap sum of the flipped kernel."""
     img = np.asarray(img, dtype=np.float64)
     w = np.asarray(kernel, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] % 2 != 1:
         raise ValueError("kernel must be odd and square")
-    k = w.shape[0]
-    half = k // 2
-    lead = img.shape[:-2]
-    rows, cols = img.shape[-2:]
     # convolution flips the kernel; every built-in kernel is centro-symmetric
     # but keep true convolution semantics for arbitrary weights
-    wf = w[::-1, ::-1]
-    stride = cols + 2 * half
-    pad = np.pad(img, [(0, 0)] * len(lead) + [(half, half)] * 2)
-    flat = pad.reshape(lead + (pad.shape[-2] * stride,))
-    # pixel (r, c) is element r*stride + c of the sum and of the slice of
-    # tap (i, j), which starts i*stride + j elements into the padded image
-    n = max(rows * stride - 2 * half, 0)
-    out = np.zeros(lead + (rows, stride))
-    acc = out.reshape(lead + (rows * stride,))[..., :n]
-    tap = np.empty(lead + (n,))
-    for i, j in np.ndindex(k, k):
-        at = i * stride + j
-        np.multiply(flat[..., at:at + n], wf[i, j], out=tap)
-        acc += tap
-    return np.ascontiguousarray(out[..., :cols])
+    return np.ascontiguousarray(_tap_sum(img, w[::-1, ::-1]))
 
 
 def correlate_separable(img, g):
     """Same-size correlation with the kernel outer(g, g), zero padding, as
-    two 1-D passes: along rows, then along columns, each adding its taps in
-    index order. Leading axes are a batch, so a stack gives each image the
-    bytes it gets alone. g must have odd length."""
+    two tap sums: a (1, K) window along rows, then a (K, 1) window along
+    columns. Leading axes are a batch. g must have odd length."""
     img = np.asarray(img, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 1 or g.shape[0] % 2 != 1:
         raise ValueError("factor must be 1-D with odd length")
-    half = g.shape[0] // 2
-    lead = img.shape[:-2]
-    rows, cols = img.shape[-2:]
-    pad = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(0, 0), (half, half)])
-    # the column pass reads half zero rows above and below the row pass
-    across = np.zeros(lead + (rows + 2 * half, cols))
-    inner = across[..., half:half + rows, :]
-    np.multiply(pad[..., 0:cols], g[0], out=inner)
-    tap = np.empty_like(img)
-    for j in range(1, g.shape[0]):
-        np.multiply(pad[..., j:j + cols], g[j], out=tap)
-        inner += tap
-    out = across[..., 0:rows, :] * g[0]
-    for i in range(1, g.shape[0]):
-        np.multiply(across[..., i:i + rows, :], g[i], out=tap)
-        out += tap
-    return out
+    # a (K, 1) window leaves rows of W, so the column pass is contiguous
+    return _tap_sum(_tap_sum(img, g[None, :]), g[:, None])
 
 
 def filter_image(img, cfg):

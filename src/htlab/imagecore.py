@@ -429,4 +429,4 @@ def load_pbm(path):
     raw = np.frombuffer(_payload(data, pos, row_bytes * height),
                         dtype=np.uint8).reshape(height, row_bytes)
     bits = np.unpackbits(raw, axis=1)[:, :width]
-    return (1.0 - bits).astype(np.float64)
+    return 1.0 - bits

@@ -7,7 +7,8 @@ integers and therefore never land exactly on .5, so rounding has no ties.
 The DC bin belongs to no ring (a partition numbers it 0, the rings from 1);
 it and the one member of a singleton ring deviate by 0 from their mean, so
 neither adds to anisotropy or to the loss. Ring sums are one bincount per
-image, with no index array: rapsd holds 3x its input at most.
+image, with no index array, and rapsd squares the deviations in place: it
+holds 2x its input at most.
 A lattice with no ring (1x1) has only its DC bin. Every function takes one
 (H, W) image or a stack of them (leading axes are a batch), and gives each
 image of a stack the bytes it gets alone; the loss gives one per image.
@@ -107,7 +108,7 @@ def rapsd(p_hat, part=None):
     """Radially averaged power and per-ring anisotropy of a periodogram."""
     p_hat = np.asarray(p_hat, dtype=np.float64)
     part, power, dev = _ring_stats(p_hat, part)
-    ssq = _ring_sums(part, dev * dev)[..., 1:]
+    ssq = _ring_sums(part, np.square(dev, out=dev))[..., 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         anis = np.where((part.counts > 1) & (power > 0.0),
                         ssq / (power ** 2 * (part.counts - 1)), math.nan)

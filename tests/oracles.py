@@ -19,7 +19,9 @@ correlate_2d_dense is the K^2-tap correlation every Gaussian window was
 taken with before the separable two-pass form replaced it, kept as the
 2-D reference that form must agree with to rounding; with the kernel
 flipped it is also hvs.convolve_same as it stood before its taps became
-slices of the flattened padded image, whose bytes that form keeps.
+slices of the flattened padded image, whose bytes that form keeps, and
+applied with a (1, K) row window and then a (K, 1) column window it is
+the bytes of hvs.correlate_separable.
 delta_cssim_map_per_offset is likewise the CSSIM-delta loop as it stood
 before its per-pixel factors were hoisted out of the offset loop; it shares
 the package's SSIM formula, because the hoisted loop must reproduce it byte
@@ -79,16 +81,16 @@ def window_mean_brute(img, weights):
 
 
 def correlate_2d_dense(img, weights):
-    """Same-size 2-D correlation with a square odd window, zero padding,
-    over the last two axes: the K^2 weighted shifted slices of one padded
-    array, added in row-major tap order."""
-    size = weights.shape[0]
-    half = size // 2
+    """Same-size 2-D correlation with an odd (kh, kw) window, zero padding,
+    over the last two axes: the kh * kw weighted shifted slices of one
+    padded array, added to zeros in row-major tap order."""
+    kh, kw = weights.shape
     rows, cols = img.shape[-2:]
-    pad = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(half, half)] * 2)
+    pad = np.pad(img, [(0, 0)] * (img.ndim - 2)
+                 + [(kh // 2, kh // 2), (kw // 2, kw // 2)])
     out = np.zeros(img.shape)
-    for i in range(size):
-        for j in range(size):
+    for i in range(kh):
+        for j in range(kw):
             out += weights[i, j] * pad[..., i:i + rows, j:j + cols]
     return out
 

@@ -199,6 +199,21 @@ class TestCorrelateSeparable:
         want = correlate_2d_dense(img, build_gaussian_kernel(size, sigma))
         assert np.max(np.abs(got - want)) <= 2e-15
 
+    @pytest.mark.parametrize("size,sigma", FACTORS + [(1, 1.5), (127, 0.5)])
+    @pytest.mark.parametrize("shape", [(256, 256), (37, 50), (1, 1), (1, 7),
+                                       (7, 1), (4, 3), (3, 9), (2, 3, 7, 5),
+                                       (0, 4, 4)])
+    def test_is_the_bytes_of_a_row_then_a_column_correlation(
+            self, size, sigma, shape):
+        g = gaussian_factor(size, sigma)
+        img = Rng(size + len(shape)).uniforms(math.prod(shape)).reshape(shape)
+        for x in (img, img - 0.5):
+            got = correlate_separable(x, g)
+            want = correlate_2d_dense(correlate_2d_dense(x, g[None, :]),
+                                      g[:, None])
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("shape", [(3, 256, 256), (2, 3, 7, 5),
                                        (4, 1, 1)])
     def test_stack_gives_each_image_its_own_bytes(self, shape):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,6 +356,22 @@ class TestNetpbm:
         path = tmp_path / "d.pbm"
         save_pbm(h, path)
         assert np.array_equal(load_pbm(path), h)
+
+    def test_pbm_load_builds_its_image_once(self, tmp_path):
+        # the float64 image, its unpacked bits (1/8 of it) and the file's
+        # bytes (1/64)
+        h = (Rng(12).uniforms(1024 * 1024).reshape(1024, 1024)
+             < 0.5).astype(np.float64)
+        path = tmp_path / "big.pbm"
+        save_pbm(h, path)
+        tracemalloc.start()
+        try:
+            back = load_pbm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, h)
+        assert peak <= 1.25 * h.nbytes
 
     def test_pbm_bit_packing_literal(self, tmp_path):
         # white tone (1.0) is paper, encoded as bit 0; black is bit 1.

@@ -176,6 +176,18 @@ class TestRapsd:
             tracemalloc.stop()
         assert peak <= 4.5 * x.nbytes
 
+    def test_traced_peak_of_rapsd_alone(self):
+        # the ring means gathered to the image's size, squared in place
+        p_hat = periodogram(helpers.random_halftone(Rng(3), 1024, 1024))
+        ring_partition(p_hat.shape)
+        tracemalloc.start()
+        try:
+            rapsd(p_hat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * p_hat.nbytes
+
 
 class TestAnisotropyDb:
     def test_values(self):

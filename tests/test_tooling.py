@@ -149,12 +149,15 @@ def _run_cli(args, blas_threads, cwd):
 
 def test_convolve_same_does_not_depend_on_blas_threads(tmp_path):
     # a 509x511 image is large enough that a BLAS product over its windows
-    # would split the rows across threads and sum them in another order
+    # would split the rows across threads and sum them in another order;
+    # the separable Gaussian window is hashed in the same process
     code = ("import hashlib, numpy as np\n"
-            "from htlab.hvs import HvsConfig, build_kernel, convolve_same\n"
+            "from htlab.hvs import (HvsConfig, build_kernel, convolve_same,\n"
+            "                       correlate_separable, gaussian_factor)\n"
             "img = np.random.default_rng(23).random((509, 511))\n"
-            "out = convolve_same(img, build_kernel(HvsConfig()))\n"
-            "print(hashlib.sha256(out.tobytes()).hexdigest())\n")
+            "for out in (convolve_same(img, build_kernel(HvsConfig())),\n"
+            "            correlate_separable(img, gaussian_factor(11, 1.5))):\n"
+            "    print(hashlib.sha256(out.tobytes()).hexdigest())\n")
     hashes = {threads: _run_python(["-c", code], threads, tmp_path)
               for threads in (1, 2)}
     assert hashes[1] == hashes[2]

@@ -9,7 +9,6 @@ Netpbm files are parsed in one pass over their bytes with one token pattern
 
 import functools
 import re
-from array import array
 
 import numpy as np
 
@@ -40,33 +39,29 @@ def derive_seed(seed, index):
     return _mix64(((seed & _M64) + (index + 1) * _GAMMA) & _M64)
 
 
-# Requests of at least this many words are drawn as lanes (Rng._lane_words);
-# below it the one-generator loop is faster. Measured crossover, see README.
-_LANE_MIN_WORDS = 1536
 # bit offsets of the 16 nibbles of a state word, low nibble first
 _NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)
 _NIBBLES = np.arange(64)
 
 
 def _steps(s0, s1, s2, s3, w0, w3):
-    """Run len(w0) xoshiro256++ state updates from (s0, s1, s2, s3),
-    recording s0 and s3 before the i-th at w0[i] and w3[i]; returns the
-    state after them.
+    """Run len(w0) xoshiro256++ state updates from the uint64 arrays (s0,
+    s1, s2, s3), one word per lane, recording s0 and s3 before the i-th at
+    rows w0[i] and w3[i]; returns the state after them.
 
-    This is the one definition of the update. It steps one generator on
-    Python ints, and many lanes at once on uint64 arrays (w0[i] is then a
-    row with one word per lane), whose arithmetic wraps modulo 2**64 as
-    the masks do for ints. It updates array arguments in place."""
+    This is the one definition of the update. uint64 arithmetic wraps
+    modulo 2**64, so the shifts need no mask. It updates its arguments in
+    place."""
     for i in range(len(w0)):
         w0[i] = s0
         w3[i] = s3
-        t = (s1 << 17) & _M64
+        t = s1 << 17
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _M64
+        s3 = (s3 << 45) | (s3 >> 19)
     return s0, s1, s2, s3
 
 
@@ -148,30 +143,19 @@ class Rng:
         self._s = tuple(state)
 
     def _words(self, n):
-        """The next n raw 64-bit outputs as a uint64 array.
-
-        The state loop records s0 and s3 of each step; the ++ scrambler
-        then runs once over the recorded words."""
-        if n >= _LANE_MIN_WORDS:
-            return self._lane_words(n)
-        w0 = array("Q", bytes(8 * n))
-        w3 = array("Q", bytes(8 * n))
-        self._s = _steps(*self._s, w0, w3)
-        return _scramble(np.frombuffer(w0, dtype=np.uint64),
-                         np.frombuffer(w3, dtype=np.uint64))
-
-    def _lane_words(self, n):
-        """_words for large n: lanes of the same stream stepped together.
+        """The next n raw 64-bit outputs as a uint64 array: lanes of the
+        stream stepped together, whose recorded s0 and s3 the ++ scrambler
+        then reads once.
 
         Lane j draws words j*m to j*m + m - 1 of the request, m = 2**p
-        about sqrt(n) / 4, so there are about 4 sqrt(n) lanes. Lane j
-        starts at the state j*m steps on, found by doubling: the first
-        2**t lanes, jumped by T**(m * 2**t), start the next 2**t. The last
-        lane may draw fewer than m words, and the state after the request
-        is that lane's once it has drawn them."""
+        about sqrt(n) / 4, so there are about 4 sqrt(n) lanes, and at least
+        one. Lane j starts at the state j*m steps on, found by doubling:
+        the first 2**t lanes, jumped by T**(m * 2**t), start the next 2**t.
+        The last lane may draw fewer than m words, and the state after the
+        request is that lane's once it has drawn them."""
         p = max(int(n).bit_length() // 2 - 2, 0)
         m = 1 << p
-        count = -(-n // m)
+        count = max(-(-n // m), 1)
         lanes = np.empty((4, count), dtype=np.uint64)
         lanes[:, 0] = self._s
         have = 1
@@ -224,7 +208,11 @@ class Rng:
     def set_state_words(self, words):
         if len(words) != 4:
             raise ValueError("xoshiro256++ state is four 64-bit words")
-        self._s = tuple(int(w) & _M64 for w in words)
+        state = tuple(int(w) & _M64 for w in words)
+        if not any(state):
+            # the update's fixed point: every word drawn from it is 0
+            raise ValueError("xoshiro256++ state of four zero words")
+        self._s = state
 
 
 class Predrawn:

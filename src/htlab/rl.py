@@ -29,7 +29,8 @@ from . import metrics
 from .hvs import HvsConfig, build_kernel
 from .imagecore import Predrawn, Rng, gaussian_noise_map, random_crop
 from .metrics import MetricConfig
-from .nn import Adam, PolicyNetwork, cosine_lr, load_checkpoint
+from .nn import (Adam, CheckpointError, PolicyNetwork, cosine_lr,
+                 load_checkpoint)
 from .spectral import anisotropy_loss, anisotropy_loss_backward, ring_partition
 
 _PROB_FLOOR = 1e-7   # clamp before log-derivative division
@@ -255,7 +256,9 @@ def train_loop(cfg, dataset, resume_path=None, on_iteration=None):
     """Run Algorithm-style training; returns (net, adam, rng).
 
     resume_path restores parameters, Adam state, iteration counter and the
-    RNG state words, so a split run reproduces an unsplit one exactly.
+    RNG state words, so a split run reproduces an unsplit one exactly. A
+    checkpoint past cfg.iterations, or with the all-zero RNG state (from
+    which every draw is 0), is a CheckpointError.
     """
     cfg.validate()
     if not dataset:
@@ -268,7 +271,14 @@ def train_loop(cfg, dataset, resume_path=None, on_iteration=None):
     if resume_path is not None:
         meta = load_checkpoint(resume_path, net, adam)
         start = meta["iteration"]
-        rng.set_state_words(meta["rng_state"])
+        if start > cfg.iterations:
+            raise CheckpointError(
+                f"{resume_path}: checkpoint at iteration {start} is past "
+                f"the config's {cfg.iterations} iterations")
+        try:
+            rng.set_state_words(meta["rng_state"])
+        except ValueError as exc:
+            raise CheckpointError(f"{resume_path}: {exc}") from None
     for t in range(start, cfg.iterations):
         try:
             diag = train_step(net, adam, dataset, cfg, rng, t)

@@ -639,6 +639,51 @@ class TestTrain:
         _, _, rows_b = parse_csv(Path(values_b["out_dir"]) / "log.csv")
         assert rows_b == rows_a[2:]
 
+    def test_resume_from_all_zero_rng_state_is_data_error(self, tmp_path,
+                                                          capsys):
+        # all zeros is xoshiro256++'s fixed point: a run resumed from it
+        # would draw 0 for every word
+        cfg_a, values_a = train_config(tmp_path,
+                                       out_dir=str(tmp_path / "runA"))
+        assert cli.main(["train", "--config", cfg_a]) == 0
+        ckpt = Path(values_a["out_dir"]) / "ckpt_000002.htnn"
+        zeroed = tmp_path / "zeroed.htnn"
+        zeroed.write_bytes(mutate_checkpoint(ckpt.read_bytes(),
+                                             {7: 0, 8: 0, 9: 0, 10: 0}))
+        cfg_b, values_b = train_config(tmp_path,
+                                       out_dir=str(tmp_path / "runB"))
+        capsys.readouterr()
+        assert cli.main(["train", "--config", cfg_b, "--resume",
+                         str(zeroed)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert str(zeroed) in err and "four zero words" in err
+        assert not (Path(values_b["out_dir"]) / "model.htnn").exists()
+
+    def test_resume_past_the_configured_iterations_is_data_error(
+            self, tmp_path, capsys):
+        cfg_a, values_a = train_config(tmp_path,
+                                       out_dir=str(tmp_path / "runA"))
+        assert cli.main(["train", "--config", cfg_a]) == 0
+        resume = str(Path(values_a["out_dir"]) / "ckpt_000002.htnn")
+        cfg_b, values_b = train_config(tmp_path, iterations=1,
+                                       out_dir=str(tmp_path / "runB"))
+        capsys.readouterr()
+        assert cli.main(["train", "--config", cfg_b, "--resume",
+                         resume]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert resume in err
+        assert "iteration 2" in err and "1 iterations" in err
+        assert not (Path(values_b["out_dir"]) / "model.htnn").exists()
+        # a checkpoint exactly at the end is a resume with nothing to do
+        cfg_c, values_c = train_config(tmp_path, iterations=2,
+                                       out_dir=str(tmp_path / "runC"))
+        assert cli.main(["train", "--config", cfg_c, "--resume",
+                         resume]) == 0
+        model = (Path(values_c["out_dir"]) / "model.htnn").read_bytes()
+        assert model == Path(resume).read_bytes()
+
     def test_one_pixel_crops_train_with_zero_anisotropy(self, tmp_path):
         # a 1x1 crop's spectrum has no ring, so L_as is 0, not an error
         cfg, values = train_config(tmp_path, crop_size=1,

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from htlab.imagecore import (_LANE_MIN_WORDS, NetpbmError, Predrawn, Rng,
-                             _jump, _jump_table, constant_image, derive_seed,
-                             gaussian_noise_map, load_pbm, load_pgm,
-                             random_crop, save_pbm, save_pgm, splitmix64,
-                             validate_contone, validate_halftone)
+from htlab.imagecore import (NetpbmError, Predrawn, Rng, _jump, _jump_table,
+                             constant_image, derive_seed, gaussian_noise_map,
+                             load_pbm, load_pgm, random_crop, save_pbm,
+                             save_pgm, splitmix64, validate_contone,
+                             validate_halftone)
 
 
 # frozen reference vectors: first three splitmix64 outputs from state 0,
@@ -69,8 +69,8 @@ class TestRng:
             assert r1.uniform() == (word >> 11) * 2.0 ** -53
 
     def test_uniforms_matches_scalar_stream(self):
-        # single draws step Python ints, vector draws record words in
-        # arrays; both are the word-by-word stream
+        # 300 one-word requests and one request of 300 words, drawn as
+        # lanes of different lengths, are both the word-by-word stream
         r1, r2 = Rng(5), Rng(5)
         words, state = oracles.xoshiro256pp_words(r1.state_words(), 300)
         vec = r1.uniforms(300)
@@ -137,6 +137,15 @@ class TestRng:
         with pytest.raises(ValueError):
             r2.set_state_words((1, 2, 3))
 
+    @pytest.mark.parametrize("words", [(0, 0, 0, 0), (2 ** 64, 0, 0, 0)])
+    def test_all_zero_state_is_refused(self, words):
+        # all zeros is the update's fixed point: every word would be 0
+        r = Rng(33)
+        state = r.state_words()
+        with pytest.raises(ValueError, match="four zero words"):
+            r.set_state_words(words)
+        assert r.state_words() == state
+
     def test_derive_seed(self):
         assert derive_seed(0, 0) == SPLITMIX_FROM_0[0]
         assert derive_seed(0, 2) == SPLITMIX_FROM_0[2]
@@ -191,12 +200,11 @@ class TestRng:
 
 
 class TestLaneDraws:
-    """Requests of _LANE_MIN_WORDS words or more run as lanes of the
-    stream; their words and the state after them are the one-generator
-    stream's."""
+    """Every request runs as lanes of the stream; its words and the state
+    after them are the one-generator stream's."""
 
     @pytest.mark.parametrize("n", [
-        _LANE_MIN_WORDS - 1, _LANE_MIN_WORDS, _LANE_MIN_WORDS + 1,
+        0, 1, 2, 3, 5, 17, 1535, 1536, 1537,
         # lanes of 16 words: the last lane draws 8
         5000, 65536, 65536 + 3])
     def test_words_and_state_match_the_oracle(self, n):
@@ -212,8 +220,20 @@ class TestLaneDraws:
         assert resumed._words(n).tolist() == words
         assert resumed.state_words() == state
 
+    def test_every_lane_length_and_short_last_lane(self):
+        # each n up to 64 and each side of a power of two up to 2**12: the
+        # steps of the lane-length rule and short last lanes of many lengths
+        sizes = sorted(set(range(65)).union(
+            *({2 ** k - 1, 2 ** k, 2 ** k + 1} for k in range(13))))
+        r = Rng(2026)
+        state = r.state_words()
+        for n in sizes:
+            words, state = oracles.xoshiro256pp_words(state, n)
+            assert r._words(n).tolist() == words, n
+            assert r.state_words() == state, n
+
     def test_odd_gaussians_consume_whole_pairs(self):
-        n = 2 * _LANE_MIN_WORDS + 1
+        n = 3073
         r, twin = Rng(77), Rng(77)
         words, state = oracles.xoshiro256pp_words(r.state_words(), n + 1)
         z = r.gaussians(n)

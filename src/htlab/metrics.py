@@ -225,11 +225,6 @@ class RewardContext:
         self.eval_count = math.prod(self.h.shape[:-2])
 
 
-def reward(h, c, cfg=None):
-    """Build a RewardContext; .reward is the scalar R."""
-    return RewardContext(h, c, cfg or MetricConfig())
-
-
 def delta_map(ctx, other_values):
     """R(h with pixel a set to other_values[a]) - R(h) for every a at once,
     each edit scored within its own image of the stack.

@@ -6,17 +6,21 @@ neighboring lattice levels form the support). The joint policy factorizes
 pixelwise, and the episode is a single action map scored by the halftone
 reward.
 
-Three gradient estimators produce dL/dp to inject at the sigmoid output:
+ESTIMATORS maps each config name to the dL/dp injected at the sigmoid
+output:
 
-  reinforce  score function on the global reward, optional scalar baseline
-  coma       per-agent counterfactual baseline: the policy-expected reward
-             over that agent's two actions, others held fixed
-  local_expectation (le)  sums the reward over each agent's two actions
+  reinforce  score function on each image's reward
+  reinforce_meanbaseline  the same less the mean reward of the step's
+             other images, a leave-one-out baseline (0 for a lone image)
+  coma       per-agent counterfactual baseline, the policy-expected reward
+             over that agent's two actions: local expectation's signal
+             times the odds, (1 - p)/p at a pixel at 1 and p/(1 - p) at 0
+  local_expectation  sums the reward over each agent's two actions
              analytically, so the per-pixel factor is exactly the two-point
              reward difference
 
 A training step scores its B crops as one (B, H, W) stack: one
-RewardContext and one estimator call. All three need at most N+1 reward
+RewardContext and one estimator call. All need at most N+1 reward
 evaluations per image: one full build plus one delta_map over its N pixels.
 """
 
@@ -34,9 +38,6 @@ from .nn import (Adam, CheckpointError, PolicyNetwork, cosine_lr,
 from .spectral import anisotropy_loss, anisotropy_loss_backward, ring_partition
 
 _PROB_FLOOR = 1e-7   # clamp before log-derivative division
-
-ESTIMATORS = ("reinforce", "reinforce_meanbaseline", "coma",
-              "local_expectation")
 
 
 def _cast_two_point(values, level_count):
@@ -75,7 +76,8 @@ def make_sample(p, c, rng, cfg=None, level_count=2):
     """Sample the action maps of a policy output p, one (H, W) map or a
     (B, H, W) stack, and return the one RewardContext that scores them
     against c; its h is the action map."""
-    return metrics.reward(sample_actions(p, rng, level_count), c, cfg)
+    return metrics.RewardContext(sample_actions(p, rng, level_count), c,
+                                 cfg or MetricConfig())
 
 
 def le_signal(ctx, p, level_count):
@@ -89,33 +91,44 @@ def le_signal(ctx, p, level_count):
     return -(sign * d_other) / (1.0 / (level_count - 1))
 
 
-def _dlogpi(p, h):
-    """Score of a binary policy; coma and reinforce need one."""
+def _binary_clipped(p, h):
+    """p clipped for the divisions of coma and reinforce, binary only."""
     if np.any((h != 0.0) & (h != 1.0)):
         raise ValueError("coma and reinforce require a binary policy")
-    p = np.clip(p, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    return np.where(h == 1.0, 1.0 / p, -1.0 / (1.0 - p))
+    return np.clip(p, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
 
 
 def coma_signal(ctx, p):
-    """Counterfactual-baseline gradient (binary policies only)."""
+    """Counterfactual-baseline gradient (binary policies only), solved in
+    closed form: the flip difference R(flip) - R(h) times the odds."""
     h = ctx.h
-    score = _dlogpi(p, h)
-    d_other = metrics.delta_map(ctx, 1.0 - h)
-    r_cur = np.asarray(ctx.reward)[..., None, None]
-    r_flip = r_cur + d_other
-    r_up = np.where(h == 1.0, r_cur, r_flip)
-    r_down = np.where(h == 0.0, r_cur, r_flip)
-    pc = np.clip(p, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    baseline = pc * r_up + (1.0 - pc) * r_down
-    return -score * (r_cur - baseline)
+    pc = _binary_clipped(p, h)
+    odds = np.where(h == 1.0, (1.0 - pc) / pc, -pc / (1.0 - pc))
+    return metrics.delta_map(ctx, 1.0 - h) * odds
 
 
 def reinforce_signal(ctx, p, baseline):
-    """Score-function gradient with a scalar baseline (binary policies
-    only)."""
+    """Score-function gradient against a baseline, one for the stack or
+    one per image (binary policies only)."""
+    pc = _binary_clipped(p, ctx.h)
     advantage = np.asarray(ctx.reward - baseline)[..., None, None]
-    return -_dlogpi(p, ctx.h) * advantage
+    return -np.where(ctx.h == 1.0, 1.0 / pc, -1.0 / (1.0 - pc)) * advantage
+
+
+def _reinforce_leave_one_out(ctx, p, cfg):
+    """REINFORCE against the mean reward of the other images of the stack,
+    which an image's own actions cannot move; 0 for a lone image."""
+    r = ctx.reward
+    return reinforce_signal(ctx, p, (r.sum() - r) / max(r.size - 1, 1))
+
+
+# each estimator's dL/dp for a (B, H, W) stack, by config name
+ESTIMATORS = {
+    "reinforce": lambda ctx, p, cfg: reinforce_signal(ctx, p, 0.0),
+    "reinforce_meanbaseline": _reinforce_leave_one_out,
+    "coma": lambda ctx, p, cfg: coma_signal(ctx, p),
+    "local_expectation": lambda ctx, p, cfg: le_signal(ctx, p, cfg.levels),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +202,6 @@ class TrainConfig:
         build_kernel(self.metric_config().hvs)
 
 
-def _signal(ctx, p, cfg):
-    """dL/dp for the whole (B, H, W) stack from the configured estimator."""
-    if cfg.estimator == "local_expectation":
-        return le_signal(ctx, p, cfg.levels)
-    if cfg.estimator == "coma":
-        return coma_signal(ctx, p)
-    if cfg.estimator == "reinforce":
-        return reinforce_signal(ctx, p, 0.0)
-    if cfg.estimator == "reinforce_meanbaseline":
-        return reinforce_signal(ctx, p, float(np.mean(ctx.reward)))
-    raise ValueError(f"unknown estimator {cfg.estimator!r}")
-
-
 def train_step(net, adam, dataset, cfg, rng, t):
     """One optimization step; returns the diagnostics row.
 
@@ -227,7 +227,7 @@ def train_step(net, adam, dataset, cfg, rng, t):
     p = net.forward(x)[:, 0]
 
     ctx = make_sample(p, x[:, 0], draws, mcfg, cfg.levels)
-    signal = _signal(ctx, p, cfg)
+    signal = ESTIMATORS[cfg.estimator](ctx, p, cfg)
     net.zero_grad()
     net.backward(signal[:, None] / b)
     mean_reward = float(np.mean(ctx.reward))

@@ -31,7 +31,10 @@ through the package's own draw functions, since only their order is under
 test. floyd_steinberg_per_pixel and xoshiro256pp_words are the
 pixel-by-pixel diffusion and the word-by-word scrambling that
 classic.floyd_steinberg and imagecore.Rng replaced with row and vector
-forms of the same bytes.
+forms of the same bytes. coma_signal_counterfactual is rl.coma_signal as
+the score times the reward less its counterfactual baseline, written out
+before the baseline was solved into the odds; it reads the package's
+delta_map, since only that algebra is under test.
 """
 
 import numpy as np
@@ -39,7 +42,7 @@ import numpy as np
 from htlab import metrics
 from htlab.metrics import MetricConfig
 from htlab.imagecore import gaussian_noise_map, random_crop
-from htlab.rl import _cast_two_point, sample_actions
+from htlab.rl import _PROB_FLOOR, _cast_two_point, sample_actions
 
 
 def conv2d_same_brute(img, kernel):
@@ -437,11 +440,26 @@ def exact_gradient_oracle(p, c, cfg=None, level_count=2):
         sel = np.array([(bits >> j) & 1 for j in range(n)], dtype=np.float64)
         m = np.where(sel == 1.0, cv, fv)
         q = np.where(sel == 1.0, q_up, 1.0 - q_up)
-        r = metrics.reward(m.reshape(p.shape), c, cfg).reward
+        r = metrics.RewardContext(m.reshape(p.shape), c, cfg).reward
         for a in range(n):
             others = np.prod(np.delete(q, a))
             grad[a] += r * (1.0 if sel[a] == 1.0 else -1.0) * others * inv_delta
     return grad.reshape(p.shape)
+
+
+def coma_signal_counterfactual(ctx, p):
+    """COMA's dL/dp for a binary action map: minus the score d log pi / dp
+    times R(h) less the baseline, the policy-expected reward over the
+    pixel's two actions with every other pixel held."""
+    h = ctx.h
+    pc = np.clip(p, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+    score = np.where(h == 1.0, 1.0 / pc, -1.0 / (1.0 - pc))
+    r_cur = np.asarray(ctx.reward)[..., None, None]
+    r_flip = r_cur + metrics.delta_map(ctx, 1.0 - h)
+    r_up = np.where(h == 1.0, r_cur, r_flip)
+    r_down = np.where(h == 0.0, r_cur, r_flip)
+    baseline = pc * r_up + (1.0 - pc) * r_down
+    return -score * (r_cur - baseline)
 
 
 def floyd_steinberg_per_pixel(c, serpentine=False):

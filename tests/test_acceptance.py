@@ -34,7 +34,7 @@ from htlab.classic import (dbs_search, floyd_steinberg, ordered_dither,
 from htlab.hvs import HvsConfig
 from htlab.imagecore import Rng, constant_image, save_pgm
 from htlab.metrics import MetricConfig, cssim, delta_map, hvs_mse, psnr, ssim
-from htlab.metrics import reward as build_reward
+from htlab.metrics import RewardContext as build_reward
 from htlab.multitone import infer_multitone
 from htlab.nn import Conv2d, PolicyNetwork, Workspace
 from htlab.rl import (TrainConfig, coma_signal, infer_halftone, le_signal,

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -517,6 +518,19 @@ class TestConfigParsing:
     def test_unknown_key_names_key_and_line(self):
         with pytest.raises(cli.UsageError, match=r"line 2.*'momentum'"):
             cli.parse_config("iterations = 5\nmomentum = 0.9\n")
+
+    def test_readme_example_config_loads(self):
+        # only whole lines are comments, so an inline '# ...' after a value
+        # would become part of it
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Train config format", 1)[1]
+        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        out = cli.parse_config(block)
+        assert set(out) == {f.name for f in fields(rl.TrainConfig)}
+        assert not any("#" in str(value) for value in out.values())
+        rl.TrainConfig(**out).validate()
+        assert set(rl.ESTIMATORS) <= set(re.findall(r"\w+", block))
 
     def test_bad_value_rejected(self):
         with pytest.raises(cli.UsageError, match="ten"):

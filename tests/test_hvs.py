@@ -101,7 +101,8 @@ class TestCachedArrays:
         for cfg in (HvsConfig(), HvsConfig(model="gaussian", size=5)):
             assert build_kernel(cfg) is build_kernel(cfg)
         mcfg = metrics.MetricConfig()
-        ctx = metrics.reward(np.zeros((12, 12)), np.zeros((12, 12)), mcfg)
+        ctx = metrics.RewardContext(np.zeros((12, 12)), np.zeros((12, 12)),
+                                    mcfg)
         assert ctx.kernel is build_kernel(mcfg.hvs)
         assert ctx.w is build_gaussian_kernel(mcfg.ssim_window,
                                               metrics.SSIM_SIGMA)

@@ -20,7 +20,8 @@ from htlab.hvs import (HvsConfig, build_gaussian_kernel, build_kernel,
                        correlate_separable, gaussian_factor)
 from htlab.imagecore import Rng, constant_image
 from htlab.metrics import (MetricConfig, _delta_cssim_map, cssim, delta_map,
-                           hvs_mse, psnr, region_mask, reward, ssim)
+                           hvs_mse, psnr, region_mask, ssim)
+from htlab.metrics import RewardContext as reward
 
 # Small configuration so brute-force oracles stay fast. Gaussian HVS kernel
 # (sigma chosen off the window sigma so the two never alias) and a 5-tap

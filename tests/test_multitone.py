@@ -17,7 +17,7 @@ from htlab import rl
 from htlab.hvs import HvsConfig
 from htlab.imagecore import Rng
 from htlab.metrics import MetricConfig
-from htlab.metrics import reward as build_reward
+from htlab.metrics import RewardContext as build_reward
 from htlab.multitone import infer_multitone
 from htlab.nn import PolicyNetwork
 from htlab.rl import infer_halftone, le_signal, sample_actions

@@ -8,6 +8,7 @@ is checked symbolically.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from htlab import nn, rl
 from htlab.hvs import HvsConfig, build_kernel, convolve_same
 from htlab.imagecore import Rng, constant_image
 from htlab.metrics import MetricConfig, delta_map
-from htlab.metrics import reward as build_reward
+from htlab.metrics import RewardContext as build_reward
 from htlab.nn import cosine_lr
 from htlab.rl import (ESTIMATORS, TrainConfig, coma_signal, infer_halftone,
                       le_signal, make_sample, reinforce_signal,
@@ -35,21 +36,42 @@ def policy_weight(p, m):
     return float(np.prod(np.where(m == 1.0, p, 1.0 - p)))
 
 
+BINARY = TrainConfig()
+
+
 def signal(estimator, ctx, p):
     """The estimator's dL/dp for the action map ctx.h under policy p."""
-    if estimator == "local_expectation":
-        return le_signal(ctx, p, 2)
-    if estimator == "coma":
-        return coma_signal(ctx, p)
-    return reinforce_signal(ctx, p, 0.0)
+    return ESTIMATORS[estimator](ctx, p, BINARY)
 
 
 def expected_signal(estimator, p, c, cfg):
+    """The policy-weighted signal over every joint action map of one image
+    or of a whole (B, H, W) stack."""
     total = np.zeros_like(p)
     for m in oracles.enumerate_bit_maps(p.shape):
         sig = signal(estimator, build_reward(m, c, cfg), p)
         total += policy_weight(p, m) * sig
     return total
+
+
+def minus_gradient(p, c, cfg):
+    """-dE[R]/dp of each image by enumeration; the images of a stack are
+    independent, so each one's reward moves only with its own p."""
+    images = (-1,) + p.shape[-2:]
+    return -np.stack([exact_gradient_oracle(pi, ci, cfg) for pi, ci in zip(
+        p.reshape(images), c.reshape(images))]).reshape(p.shape)
+
+
+def per_image_signal(estimator, parts, p):
+    """A stack's signal as its images give it alone, except that an image's
+    mean baseline is the mean reward of the stack's other images."""
+    if estimator != "reinforce_meanbaseline":
+        return np.stack([signal(estimator, part, pi)
+                         for part, pi in zip(parts, p)])
+    r = np.array([part.reward for part in parts])
+    others = (r.sum() - r) / (r.size - 1)
+    return np.stack([reinforce_signal(part, pi, baseline)
+                     for part, pi, baseline in zip(parts, p, others)])
 
 
 class TestSampling:
@@ -91,23 +113,25 @@ class TestClosedForm1x1:
             sig = le_signal(build_reward(m, c, IDENTITY), p, 2)
             assert sig[0, 0] == pytest.approx(1.0 - 2 * self.C, abs=1e-13)
 
-    def test_all_estimators_unbiased(self):
-        p, c = self._arrays()
-        want = -exact_gradient_oracle(p, c, IDENTITY)
-        for estimator in ("local_expectation", "coma", "reinforce"):
-            got = expected_signal(estimator, p, c, IDENTITY)
-            assert got[0, 0] == pytest.approx(want[0, 0], abs=1e-12)
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_every_estimator_unbiased(self, estimator):
+        # a 2-image stack, so that the mean baseline has an image to read
+        p = np.array([[[0.55]], [[0.8]]])
+        c = np.full_like(p, self.C)
+        got = expected_signal(estimator, p, c, IDENTITY)
+        assert np.max(np.abs(got - (1.0 - 2 * self.C))) < 1e-12
 
 
 class TestUnbiasedness:
-    @pytest.mark.parametrize("shape", [(2, 2), (2, 3)])
-    @pytest.mark.parametrize("estimator",
-                             ["local_expectation", "coma", "reinforce"])
+    # (2, 2, 2) is a stack of two images, where the mean baseline of one
+    # is the other's reward
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (2, 2, 2)])
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
     def test_expected_signal_equals_minus_oracle(self, shape, estimator):
         rng = Rng(31)
-        p = 0.1 + 0.8 * helpers.random_contone(rng, *shape)
-        c = helpers.random_contone(rng, *shape)
-        want = -exact_gradient_oracle(p, c, SMALL)
+        p = 0.1 + 0.8 * rng.uniforms(math.prod(shape)).reshape(shape)
+        c = rng.uniforms(math.prod(shape)).reshape(shape)
+        want = minus_gradient(p, c, SMALL)
         got = expected_signal(estimator, p, c, SMALL)
         assert np.max(np.abs(got - want)) < 1e-9
 
@@ -158,20 +182,17 @@ class TestSamplesAndCounts:
         assert np.array_equal(ceil_vals, np.ones((4, 4)))
         assert np.array_equal(p_ceil, p)
 
-    def test_eval_counts_per_estimator(self):
-        n = 16
-        ctx, p = self._sample()
-        assert ctx.eval_count == 1            # context build
-        le_signal(ctx, p, 2)
-        assert ctx.eval_count == 1 + n        # one delta per pixel
+    # the context build, plus one delta per pixel for the estimators that
+    # read the flip difference
+    EVALS = {"local_expectation": 1 + 16, "coma": 1 + 16, "reinforce": 1,
+             "reinforce_meanbaseline": 1}
 
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_eval_counts_per_estimator(self, estimator):
         ctx, p = self._sample()
-        coma_signal(ctx, p)
-        assert ctx.eval_count == 1 + n
-
-        ctx, p = self._sample()
-        reinforce_signal(ctx, p, 0.0)
-        assert ctx.eval_count == 1            # scalar reward only
+        assert ctx.eval_count == 1
+        signal(estimator, ctx, p)
+        assert ctx.eval_count == self.EVALS[estimator]
 
     def test_coma_and_reinforce_reject_multitone(self):
         rng = Rng(47)
@@ -183,10 +204,41 @@ class TestSamplesAndCounts:
         with pytest.raises(ValueError):
             reinforce_signal(ctx, v, 0.0)
 
-    def test_unknown_estimator_rejected_by_the_signal_dispatch(self):
-        ctx, p = self._sample()
-        with pytest.raises(ValueError, match="unknown estimator"):
-            rl._signal(ctx, p, TrainConfig(estimator="qlearning"))
+
+class TestComaOdds:
+    """coma_signal is the counterfactual-baseline formula solved into the
+    odds; per sample it must equal the formula written out
+    (oracles.coma_signal_counterfactual) to rounding, with p exactly 0 and
+    1 included, and equal local expectation's signal times the odds
+    wherever the cast does not collapse."""
+
+    def test_matches_the_counterfactual_baseline(self):
+        rng = Rng(59)
+        c = np.stack([helpers.random_contone(rng, 16, 16) for _ in range(4)])
+        p = np.stack([helpers.random_contone(rng, 16, 16) for _ in range(4)])
+        p[0, :4], p[0, 4:8] = 0.0, 1.0
+        # actions from p itself, and from 0.5, which also puts pixels where
+        # p is 0 or 1 on the action p never takes
+        for h_policy in (p, np.full_like(p, 0.5)):
+            for seed in range(3):
+                h = sample_actions(h_policy, Rng(seed))
+                got = coma_signal(build_reward(h, c, SMALL), p)
+                want = oracles.coma_signal_counterfactual(
+                    build_reward(h, c, SMALL), p)
+                bound = 1e-12 * np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= bound
+
+                inside = (p > 0.0) & (p < 1.0)
+                q = p[inside]
+                odds = np.where(h[inside] == 1.0, (1.0 - q) / q, q / (1.0 - q))
+                le = le_signal(build_reward(h, c, SMALL), p, 2)
+                assert np.allclose(got[inside], le[inside] * odds,
+                                   rtol=1e-9, atol=0.0)
+                # on the support, p at 0 or 1 collapses local expectation's
+                # cast to 0 there; coma's clipped odds do not
+                if h_policy is p:
+                    assert not np.any(le[~inside])
+                assert np.all(got[~inside] != 0.0)
 
 
 class TestBatchStack:
@@ -221,10 +273,11 @@ class TestBatchStack:
                 [delta_map(part, oi) for part, oi in
                  zip(parts, other)]).tobytes()
 
-            for estimator in ("local_expectation", "coma", "reinforce"):
+            for estimator in ESTIMATORS:
                 got = signal(estimator, build_reward(h, c, cfg), p)
-                want = np.stack([signal(estimator, build_reward(hi, ci, cfg),
-                                        pi) for hi, ci, pi in zip(h, c, p)])
+                want = per_image_signal(
+                    estimator, [build_reward(hi, ci, cfg)
+                                for hi, ci in zip(h, c)], p)
                 assert got.tobytes() == want.tobytes(), estimator
 
         v = np.stack([helpers.random_contone(rng, hgt, wid)
@@ -303,6 +356,23 @@ class TestTraining:
         for pa, pb in zip(net1.params(), net2.params()):
             assert np.array_equal(pa.value, pb.value)
         assert rng1.state_words() == rng2.state_words()
+
+    def test_mean_baseline_trains_a_batch_of_one(self):
+        # a lone image's leave-one-out baseline is 0: its steps are plain
+        # REINFORCE's, byte for byte, and they move the parameters
+        cfg = TrainConfig(iterations=5, batch_size=1, crop_size=8,
+                          channels=2, blocks=0, w_a=0.0, seed=3,
+                          estimator="reinforce_meanbaseline",
+                          hvs_model="gaussian", hvs_size=5, hvs_sigma=1.5)
+        dataset = [helpers.natural_crop(size=12, seed=1)]
+        start = nn.PolicyNetwork(channels=2, blocks=0)
+        start.init_params(Rng(cfg.seed))
+        net, _, _ = train_loop(cfg, dataset)
+        plain, _, _ = train_loop(replace(cfg, estimator="reinforce"), dataset)
+        assert any(np.any(a.value != b.value)
+                   for a, b in zip(start.params(), net.params()))
+        for a, b in zip(net.params(), plain.params()):
+            assert a.value.tobytes() == b.value.tobytes()
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

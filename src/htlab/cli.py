@@ -26,11 +26,10 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, rl
-from .classic import (dbs_search, floyd_steinberg, ordered_dither,
-                      white_noise_threshold)
+from .classic import dbs_search, floyd_steinberg, ordered_dither
 from .hvs import HvsConfig, build_kernel, dump_kernel_csv
 from .imagecore import (NetpbmError, Rng, constant_image, derive_seed,
-                        load_pbm, load_pgm, save_pbm, save_pgm)
+                        load_pbm, load_pgm, sample_actions, save_pbm, save_pgm)
 from .metrics import (MetricConfig, hvs_mse, psnr, region_mask,
                       ssim_and_cssim)
 from .nn import CheckpointError, network_from_checkpoint, save_checkpoint
@@ -140,7 +139,7 @@ def _synthesize(c, rng, args, policy):
     if method == "bayer":
         return ordered_dither(c, args.order)
     if method == "white":
-        return white_noise_threshold(c, rng)
+        return sample_actions(c, rng, args.levels)
     if method == "fs":
         return floyd_steinberg(c, serpentine=args.serpentine)
     if method == "dbs":
@@ -180,9 +179,9 @@ def _check_synthesis_flags(args):
         raise UsageError("--method nn requires --checkpoint")
     if not 2 <= args.levels <= 65536:
         raise UsageError("--levels must lie in [2, 65536], the PGM range")
-    if args.levels > 2 and args.method != "nn":
+    if args.levels > 2 and args.method not in ("nn", "white"):
         raise UsageError("--levels above 2 is only supported with "
-                         "--method nn")
+                         "--method nn or white")
     if getattr(args, "trace", None) and args.method != "dbs":
         raise UsageError("--trace is only produced by --method dbs")
     if args.method == "bayer" and (
@@ -462,7 +461,7 @@ def _synthesis_flags():
     p.add_argument("--checkpoint", help="policy weights (--method nn)")
     p.add_argument("--levels", type=int, default=2,
                    help="output levels; above 2 switches to multitone PGM "
-                        "(--method nn)")
+                        "(--method nn or white)")
     p.add_argument("--order", type=int, default=8,
                    help="threshold matrix order (--method bayer)")
     p.add_argument("--serpentine", action="store_true",
@@ -517,10 +516,10 @@ def build_parser():
 
     p = sub.add_parser("dump-kernel", help="write an HVS kernel as CSV")
     p.add_argument("--model", choices=("nasanen", "gaussian"),
-                   default="nasanen")
-    p.add_argument("--size", type=int, default=11)
-    p.add_argument("--scale", type=float, default=2000.0)
-    p.add_argument("--sigma", type=float, default=2.0)
+                   default=HvsConfig.model)
+    p.add_argument("--size", type=int, default=HvsConfig.size)
+    p.add_argument("--scale", type=float, default=HvsConfig.scale)
+    p.add_argument("--sigma", type=float, default=HvsConfig.sigma)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_dump_kernel)
     return parser

@@ -1,8 +1,10 @@
-"""Image containers, deterministic RNG and Netpbm I/O.
+"""Image containers, deterministic RNG, the lattice draw and Netpbm I/O.
 
 Images are plain 2-D float64 numpy arrays. Contone and multitone images hold
 tones in [0, 1]; halftones hold {0.0, 1.0} with 1 = white. All randomness in
 the package flows through Rng below so that a seed pins every downstream byte.
+sample_actions is the one draw of a level per pixel on an L-level lattice:
+the policy's actions, and white-noise thresholding as its draw at p = c.
 Netpbm files are parsed in one pass over their bytes with one token pattern
 (_TOKEN); a binary payload is a view of them.
 """
@@ -236,6 +238,35 @@ class Predrawn:
 
     gaussians = Rng.gaussians
     randint = Rng.randint
+
+
+def lattice_cast(values, level_count):
+    """Two nearest lattice levels around each value and the upper-level mass.
+
+    Levels are i/(L-1), L >= 2. On-lattice values collapse to a single
+    support point with zero upper mass. For L=2 this reduces bitwise to
+    (0, 1, values) below 1.
+    """
+    if level_count < 2:
+        raise ValueError("a lattice needs at least 2 levels")
+    v = np.asarray(values, dtype=np.float64)
+    if not np.all((v >= 0.0) & (v <= 1.0)):       # NaN fails both
+        raise ValueError("values outside [0, 1]")
+    steps = level_count - 1
+    scaled = v * steps
+    idx = np.floor(scaled)
+    frac = scaled - idx
+    # frac > 0 only below the top level, so the ceiling never passes it
+    return idx / steps, (idx + (frac > 0.0)) / steps, frac
+
+
+def sample_actions(p, rng, level_count=2):
+    """One lattice level per pixel from the cast of p; one uniform per
+    pixel, row-major (image after image for a stack). For L=2 these are
+    independent Bernoulli(p) draws, the white-noise threshold u < p."""
+    floor_vals, ceil_vals, p_ceil = lattice_cast(p, level_count)
+    u = rng.uniforms(p_ceil.size).reshape(p_ceil.shape)
+    return np.where(u < p_ceil, ceil_vals, floor_vals)
 
 
 # ---------------------------------------------------------------------------

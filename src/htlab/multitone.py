@@ -2,10 +2,10 @@
 
 Each continuous network output v in [0, 1] is cast onto its two nearest
 lattice levels: the policy puts mass (v - floor)/delta on the upper level
-and the rest on the lower, which keeps E[sampled level] = v. Casting,
-sampling, the estimators and inference all live in `rl` and take a
-`level_count`; binary halftoning is the L = 2 case, where the cast
-degenerates to floor = 0, ceil = 1 and upper mass = v.
+and the rest on the lower, which keeps E[sampled level] = v. The cast and
+the draw (white noise's too) live in `imagecore`, the estimators and
+inference in `rl`; all take a `level_count`. Binary halftoning is the L = 2
+case, where the cast degenerates to floor = 0, ceil = 1 and upper mass = v.
 """
 
 from . import rl

@@ -342,7 +342,7 @@ class Adam:
                     raise FloatingPointError("non-finite Adam update")
 
 
-def cosine_lr(t, total, lr_start=3e-4, lr_end=1e-5):
+def cosine_lr(t, total, lr_start, lr_end):
     """Cosine decay from lr_start to lr_end over `total` steps; clamps past
     the end."""
     if total <= 0:

@@ -7,7 +7,7 @@ pixelwise, and the episode is a single action map scored by the halftone
 reward.
 
 ESTIMATORS maps each config name to the dL/dp injected at the sigmoid
-output:
+output, and to whether it needs a binary policy (all but local_expectation):
 
   reinforce  score function on each image's reward
   reinforce_meanbaseline  the same less the mean reward of the step's
@@ -31,7 +31,8 @@ import numpy as np
 
 from . import metrics
 from .hvs import HvsConfig, build_kernel
-from .imagecore import Predrawn, Rng, gaussian_noise_map, random_crop
+from .imagecore import (Predrawn, Rng, gaussian_noise_map, lattice_cast,
+                        random_crop, sample_actions)
 from .metrics import MetricConfig
 from .nn import (Adam, CheckpointError, PolicyNetwork, cosine_lr,
                  load_checkpoint)
@@ -40,51 +41,18 @@ from .spectral import anisotropy_loss, anisotropy_loss_backward, ring_partition
 _PROB_FLOOR = 1e-7   # clamp before log-derivative division
 
 
-def _cast_two_point(values, level_count):
-    """Two nearest lattice levels around each value and the upper-level mass.
-
-    Levels are i/(L-1), L >= 2. On-lattice values collapse to a single
-    support point with zero upper mass. For L=2 this reduces bitwise to
-    (0, 1, values).
-    """
-    if level_count < 2:
-        raise ValueError("a lattice needs at least 2 levels")
-    v = np.asarray(values, dtype=np.float64)
-    if np.any(v < 0.0) or np.any(v > 1.0):
-        raise ValueError("values outside [0, 1]")
-    steps = level_count - 1
-    scaled = v * steps
-    idx = np.floor(scaled)
-    frac = scaled - idx
-    floor_vals = idx / steps
-    ceil_vals = np.minimum(idx + 1.0, steps) / steps
-    on_lattice = frac == 0.0
-    ceil_vals = np.where(on_lattice, floor_vals, ceil_vals)
-    return floor_vals, ceil_vals, frac
-
-
-def sample_actions(p, rng, level_count=2):
-    """One lattice level per pixel from the cast policy; one uniform per
-    pixel, row-major (image after image for a stack). For L=2 these are
-    independent Bernoulli(p) draws."""
-    floor_vals, ceil_vals, p_ceil = _cast_two_point(p, level_count)
-    u = rng.uniforms(p_ceil.size).reshape(p_ceil.shape)
-    return np.where(u < p_ceil, ceil_vals, floor_vals)
-
-
-def make_sample(p, c, rng, cfg=None, level_count=2):
+def make_sample(p, c, rng, cfg, level_count=2):
     """Sample the action maps of a policy output p, one (H, W) map or a
     (B, H, W) stack, and return the one RewardContext that scores them
     against c; its h is the action map."""
-    return metrics.RewardContext(sample_actions(p, rng, level_count), c,
-                                 cfg or MetricConfig())
+    return metrics.RewardContext(sample_actions(p, rng, level_count), c, cfg)
 
 
 def le_signal(ctx, p, level_count):
     """Local-expectation gradient: dL/dp_a = -(R(up) - R(down)) / delta,
     where up and down are the two cast levels around p_a; zero wherever
     the support collapsed to a single level."""
-    floor_vals, ceil_vals, _ = _cast_two_point(p, level_count)
+    floor_vals, ceil_vals, _ = lattice_cast(p, level_count)
     up = ctx.h == ceil_vals
     d_other = metrics.delta_map(ctx, np.where(up, floor_vals, ceil_vals))
     sign = np.where(up, -1.0, 1.0)
@@ -122,12 +90,13 @@ def _reinforce_leave_one_out(ctx, p, cfg):
     return reinforce_signal(ctx, p, (r.sum() - r) / max(r.size - 1, 1))
 
 
-# each estimator's dL/dp for a (B, H, W) stack, by config name
+# config name -> (dL/dp of a (B, H, W) stack, whether it needs levels = 2)
 ESTIMATORS = {
-    "reinforce": lambda ctx, p, cfg: reinforce_signal(ctx, p, 0.0),
-    "reinforce_meanbaseline": _reinforce_leave_one_out,
-    "coma": lambda ctx, p, cfg: coma_signal(ctx, p),
-    "local_expectation": lambda ctx, p, cfg: le_signal(ctx, p, cfg.levels),
+    "reinforce": (lambda ctx, p, cfg: reinforce_signal(ctx, p, 0.0), True),
+    "reinforce_meanbaseline": (_reinforce_leave_one_out, True),
+    "coma": (lambda ctx, p, cfg: coma_signal(ctx, p), True),
+    "local_expectation": (lambda ctx, p, cfg: le_signal(ctx, p, cfg.levels),
+                          False),
 }
 
 
@@ -155,7 +124,7 @@ class TrainConfig:
     crop_size: int = 64
     channels: int = 32
     blocks: int = 16
-    w_s: float = 0.06
+    w_s: float = MetricConfig.w_s
     w_a: float = 0.002
     lr_start: float = 3e-4
     lr_end: float = 1e-5
@@ -164,10 +133,10 @@ class TrainConfig:
     levels: int = 2
     log_every: int = 100
     checkpoint_every: int = 0           # 0 means: final checkpoint only
-    hvs_model: str = "nasanen"
-    hvs_size: int = 11
-    hvs_scale: float = 2000.0
-    hvs_sigma: float = 2.0
+    hvs_model: str = HvsConfig.model
+    hvs_size: int = HvsConfig.size
+    hvs_scale: float = HvsConfig.scale
+    hvs_sigma: float = HvsConfig.sigma
 
     def metric_config(self):
         return MetricConfig(w_s=self.w_s, hvs=HvsConfig(
@@ -179,9 +148,9 @@ class TrainConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.levels < 2:
             raise ValueError("levels must be at least 2")
-        if self.levels > 2 and self.estimator != "local_expectation":
-            raise ValueError("multitone training supports only "
-                             "local_expectation")
+        if self.levels > 2 and ESTIMATORS[self.estimator][1]:
+            raise ValueError(f"{self.estimator} needs a binary policy, "
+                             f"levels = 2")
         if self.batch_size < 1 or self.crop_size < 1 or self.iterations < 1:
             raise ValueError("batch size, crop size and iterations must be "
                              "positive")
@@ -227,7 +196,7 @@ def train_step(net, adam, dataset, cfg, rng, t):
     p = net.forward(x)[:, 0]
 
     ctx = make_sample(p, x[:, 0], draws, mcfg, cfg.levels)
-    signal = ESTIMATORS[cfg.estimator](ctx, p, cfg)
+    signal = ESTIMATORS[cfg.estimator][0](ctx, p, cfg)
     net.zero_grad()
     net.backward(signal[:, None] / b)
     mean_reward = float(np.mean(ctx.reward))
@@ -297,5 +266,5 @@ def infer_halftone(net, c, rng, level_count=2):
     c = np.asarray(c, dtype=np.float64)
     z = gaussian_noise_map(rng, c.shape[1], c.shape[0])
     p = net.forward(np.stack((c, z))[None], train=False)[0, 0]
-    floor_vals, ceil_vals, p_ceil = _cast_two_point(p, level_count)
+    floor_vals, ceil_vals, p_ceil = lattice_cast(p, level_count)
     return np.where(p_ceil >= 0.5, ceil_vals, floor_vals), p

@@ -41,8 +41,9 @@ import numpy as np
 
 from htlab import metrics
 from htlab.metrics import MetricConfig
-from htlab.imagecore import gaussian_noise_map, random_crop
-from htlab.rl import _PROB_FLOOR, _cast_two_point, sample_actions
+from htlab.imagecore import (gaussian_noise_map, lattice_cast, random_crop,
+                             sample_actions)
+from htlab.rl import _PROB_FLOOR
 
 
 def conv2d_same_brute(img, kernel):
@@ -432,7 +433,7 @@ def exact_gradient_oracle(p, c, cfg=None, level_count=2):
     if n > 20:
         raise ValueError("oracle enumeration limited to 20 pixels")
     cfg = cfg or MetricConfig()
-    floor_vals, ceil_vals, p_ceil = _cast_two_point(p, level_count)
+    floor_vals, ceil_vals, p_ceil = lattice_cast(p, level_count)
     fv, cv, q_up = (a.ravel() for a in (floor_vals, ceil_vals, p_ceil))
     inv_delta = float(level_count - 1)
     grad = np.zeros(n)

@@ -28,7 +28,7 @@ import numpy as np
 import conftest
 import helpers
 import oracles
-from htlab import cli, rl
+from htlab import cli, imagecore
 from htlab.classic import (dbs_search, floyd_steinberg, ordered_dither,
                            white_noise_threshold)
 from htlab.hvs import HvsConfig
@@ -422,7 +422,7 @@ def test_criterion_8_multitone_reduction():
     # L=3 local-expectation unbiasedness on the criterion-1 instance grid
     worst = 0.0
     for p, c, cfg in _instance_grid(8100):
-        floor_vals, ceil_vals, p_ceil = rl._cast_two_point(p, 3)
+        floor_vals, ceil_vals, p_ceil = imagecore.lattice_cast(p, 3)
         total = np.zeros_like(p)
         for sel in oracles.enumerate_bit_maps(p.shape):
             m = np.where(sel == 1.0, ceil_vals, floor_vals)

@@ -28,7 +28,7 @@ from htlab import cli, nn, rl
 from htlab.classic import floyd_steinberg
 from htlab.hvs import HvsConfig, build_kernel
 from htlab.imagecore import (Rng, constant_image, derive_seed, load_pgm,
-                             save_pbm, save_pgm)
+                             sample_actions, save_pbm, save_pgm)
 from htlab.metrics import cssim, ssim
 from htlab.nn import (Adam, CheckpointError, PolicyNetwork,
                       network_from_checkpoint, read_checkpoint,
@@ -411,7 +411,7 @@ class TestConfigFuzz:
 class TestHalftoneFlags:
     @pytest.mark.parametrize("extra", [
         ["--levels", "1"],
-        ["--levels", "3"],                       # multitone needs nn
+        ["--levels", "3"],                       # multitone: nn or white
         ["--trace", "t.csv"],                    # trace needs dbs
     ])
     def test_fs_flag_combinations_rejected(self, contone, tmp_path, extra):
@@ -428,7 +428,9 @@ class TestHalftoneFlags:
     @pytest.mark.parametrize("method, extra", [
         ("bayer", ["--order", "3"]),
         ("fs", ["--levels", "1"]),
-        ("fs", ["--levels", "3"]),               # multitone needs nn
+        ("fs", ["--levels", "3"]),               # multitone: nn or white
+        ("bayer", ["--levels", "3"]),
+        ("dbs", ["--levels", "3"]),
         ("dbs", ["--max-sweeps", "-1"]),
         # beyond the PGM maxval; rejected before the checkpoint is opened
         ("nn", ["--checkpoint", "absent.htnn", "--levels", "65537"]),
@@ -498,15 +500,19 @@ class TestHalftoneOutputs:
     def test_nn_multitone_writes_pgm_with_level_maxval(self, contone,
                                                        tmp_path,
                                                        tiny_checkpoint):
-        out = tmp_path / "m.pgm"
-        assert cli.main(["halftone", "--input", contone, "--output",
-                         str(out), "--method", "nn", "--checkpoint",
-                         tiny_checkpoint, "--levels", "3"]) == 0
-        tokens = out.read_bytes().split(None, 4)
-        assert tokens[0] == b"P5"
-        assert tokens[3] == b"2"                 # maxval = levels - 1
-        m = load_pgm(str(out))
-        assert set(np.unique(m)).issubset({0.0, 0.5, 1.0})
+        for method, extra in (("nn", ["--checkpoint", tiny_checkpoint]),
+                              ("white", [])):
+            out = tmp_path / f"{method}.pgm"
+            assert cli.main(["halftone", "--input", contone, "--output",
+                             str(out), "--method", method, "--levels", "3"]
+                            + extra) == 0
+            tokens = out.read_bytes().split(None, 4)
+            assert tokens[0] == b"P5"
+            assert tokens[3] == b"2"             # maxval = levels - 1
+            m = load_pgm(str(out))
+            assert set(np.unique(m)).issubset({0.0, 0.5, 1.0})
+        # white is the lattice draw at p = c
+        assert np.array_equal(m, sample_actions(load_pgm(contone), Rng(0), 3))
 
 
 class TestConfigParsing:

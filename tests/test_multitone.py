@@ -4,8 +4,8 @@ The load-bearing facts: casting preserves the mean exactly (the sampled
 level is an unbiased estimate of the continuous value), L = 2 reproduces
 the binary rules bit for bit (Bernoulli draws u < v, threshold v >= 0.5),
 and the local-expectation estimator stays unbiased on the two-point support
-of a 3-level policy. Casting, sampling and rounding live in `rl` and take a
-level count; these tests drive them through it.
+of a 3-level policy. Casting and sampling live in `imagecore`, rounding in
+`rl`; all take a level count, and these tests drive them through it.
 """
 
 import numpy as np
@@ -15,12 +15,12 @@ import helpers
 import oracles
 from htlab import rl
 from htlab.hvs import HvsConfig
-from htlab.imagecore import Rng
+from htlab.imagecore import Rng, lattice_cast, sample_actions
 from htlab.metrics import MetricConfig
 from htlab.metrics import RewardContext as build_reward
 from htlab.multitone import infer_multitone
 from htlab.nn import PolicyNetwork
-from htlab.rl import infer_halftone, le_signal, sample_actions
+from htlab.rl import infer_halftone, le_signal
 from oracles import exact_gradient_oracle
 
 SMALL = MetricConfig(ssim_window=3,
@@ -49,7 +49,7 @@ def rounded(v, count):
 def test_a_lattice_needs_two_levels(level_count):
     v = np.full((2, 2), 0.5)
     with pytest.raises(ValueError, match="at least 2 levels"):
-        rl._cast_two_point(v, level_count)
+        lattice_cast(v, level_count)
     with pytest.raises(ValueError, match="at least 2 levels"):
         sample_actions(v, Rng(0), level_count)
     with pytest.raises(ValueError, match="at least 2 levels"):
@@ -59,13 +59,13 @@ def test_a_lattice_needs_two_levels(level_count):
 class TestCast:
     def test_expectation_preserved(self):
         v = helpers.random_contone(Rng(3), 8, 8)
-        floor_vals, ceil_vals, p_ceil = rl._cast_two_point(v, 5)
+        floor_vals, ceil_vals, p_ceil = lattice_cast(v, 5)
         mean = floor_vals * (1.0 - p_ceil) + ceil_vals * p_ceil
         assert np.max(np.abs(mean - v)) < 1e-12
         assert np.all(ceil_vals - floor_vals <= 0.25 + 1e-15)
 
     def test_on_lattice_collapse(self):
-        floor_vals, ceil_vals, p_ceil = rl._cast_two_point(
+        floor_vals, ceil_vals, p_ceil = lattice_cast(
             np.array([[0.5, 1.0, 0.0]]), 3)
         assert floor_vals.tolist() == [[0.5, 1.0, 0.0]]
         assert ceil_vals.tolist() == [[0.5, 1.0, 0.0]]
@@ -73,14 +73,17 @@ class TestCast:
 
     def test_binary_reduction_is_bitwise(self):
         v = helpers.random_contone(Rng(5), 6, 6)
-        floor_vals, ceil_vals, p_ceil = rl._cast_two_point(v, 2)
+        floor_vals, ceil_vals, p_ceil = lattice_cast(v, 2)
         assert np.array_equal(floor_vals, np.zeros((6, 6)))
         assert np.array_equal(ceil_vals, np.ones((6, 6)))
         assert np.array_equal(p_ceil, v)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            rl._cast_two_point(np.array([[1.2]]), 3)
+        for bad in (1.2, -0.1, np.nan):       # NaN is in no range
+            with pytest.raises(ValueError, match="outside"):
+                lattice_cast(np.array([[bad, 0.5]]), 3)
+            with pytest.raises(ValueError, match="outside"):
+                sample_actions(np.array([[bad, 0.5]]), Rng(0))
 
 
 class TestSampling:
@@ -95,7 +98,7 @@ class TestSampling:
     def test_samples_live_on_adjacent_levels(self):
         v = helpers.random_contone(Rng(11), 10, 10)
         m = sample_actions(v, Rng(13), 4)
-        floor_vals, ceil_vals, _ = rl._cast_two_point(v, 4)
+        floor_vals, ceil_vals, _ = lattice_cast(v, 4)
         assert np.all((m == floor_vals) | (m == ceil_vals))
 
     def test_mean_converges_to_value(self):
@@ -115,7 +118,7 @@ class TestUnbiasedness:
         # strictly off-lattice values so every pixel has two support points
         v = 0.05 + 0.4 * helpers.random_contone(rng, 2, 2)
         c = helpers.random_contone(rng, 2, 2)
-        floor_vals, ceil_vals, p_ceil = rl._cast_two_point(v, 3)
+        floor_vals, ceil_vals, p_ceil = lattice_cast(v, 3)
 
         total = np.zeros_like(v)
         for sel in oracles.enumerate_bit_maps((2, 2)):

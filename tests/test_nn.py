@@ -457,10 +457,11 @@ class TestAdam:
 
 class TestCosineLr:
     def test_endpoints_and_midpoint(self):
-        assert cosine_lr(0, 100) == pytest.approx(3e-4, rel=1e-12)
-        assert cosine_lr(100, 100) == 1e-5
-        assert cosine_lr(250, 100) == 1e-5    # clamps past the end
-        mid = cosine_lr(50, 100)
+        assert cosine_lr(0, 100, 3e-4, 1e-5) == pytest.approx(3e-4,
+                                                              rel=1e-12)
+        assert cosine_lr(100, 100, 3e-4, 1e-5) == 1e-5
+        assert cosine_lr(250, 100, 3e-4, 1e-5) == 1e-5   # clamps past the end
+        mid = cosine_lr(50, 100, 3e-4, 1e-5)
         assert mid == pytest.approx((3e-4 + 1e-5) / 2.0, rel=1e-9)
 
     def test_monotone_decreasing(self):
@@ -470,9 +471,9 @@ class TestCosineLr:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            cosine_lr(0, 0)
+            cosine_lr(0, 0, 3e-4, 1e-5)
         with pytest.raises(ValueError):
-            cosine_lr(-1, 10)
+            cosine_lr(-1, 10, 3e-4, 1e-5)
 
 
 class TestCheckpoints:

@@ -17,7 +17,7 @@ import helpers
 import oracles
 from htlab import nn, rl
 from htlab.hvs import HvsConfig, build_kernel, convolve_same
-from htlab.imagecore import Rng, constant_image
+from htlab.imagecore import Rng, constant_image, lattice_cast
 from htlab.metrics import MetricConfig, delta_map
 from htlab.metrics import RewardContext as build_reward
 from htlab.nn import cosine_lr
@@ -41,7 +41,7 @@ BINARY = TrainConfig()
 
 def signal(estimator, ctx, p):
     """The estimator's dL/dp for the action map ctx.h under policy p."""
-    return ESTIMATORS[estimator](ctx, p, BINARY)
+    return ESTIMATORS[estimator][0](ctx, p, BINARY)
 
 
 def expected_signal(estimator, p, c, cfg):
@@ -177,7 +177,7 @@ class TestSamplesAndCounts:
         assert np.array_equal(ctx1.h, sample_actions(p, Rng(3)))
         assert set(np.unique(ctx1.h)).issubset({0.0, 1.0})
         assert ctx1.reward == build_reward(ctx1.h, c, SMALL).reward
-        floor_vals, ceil_vals, p_ceil = rl._cast_two_point(p, 2)
+        floor_vals, ceil_vals, p_ceil = lattice_cast(p, 2)
         assert np.array_equal(floor_vals, np.zeros((4, 4)))
         assert np.array_equal(ceil_vals, np.ones((4, 4)))
         assert np.array_equal(p_ceil, p)
@@ -317,7 +317,28 @@ class TestTrainConfig:
     def test_multitone_le_is_allowed(self):
         TrainConfig(levels=4, estimator="local_expectation").validate()
 
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_multitone_validates_exactly_when_a_step_runs(self, estimator):
+        cfg = TrainConfig(iterations=1, batch_size=2, crop_size=8, channels=2,
+                          blocks=0, w_a=0.0, estimator=estimator, levels=3,
+                          hvs_model="gaussian", hvs_size=3, hvs_sigma=1.0)
+        try:
+            cfg.validate()
+            valid = True
+        except ValueError:
+            valid = False
+        net = nn.PolicyNetwork(channels=2, blocks=0)
+        net.init_params(Rng(1), std=0.3)
+        data = [helpers.natural_crop(size=16, seed=2)]
+        try:
+            rl.train_step(net, nn.Adam(net.params()), data, cfg, Rng(3), 0)
+            ran = True
+        except ValueError:
+            ran = False
+        assert valid == ran
+
     def test_metric_config_mapping(self):
+        assert TrainConfig().metric_config() == MetricConfig()
         cfg = TrainConfig(w_s=0.1, hvs_model="gaussian", hvs_size=7,
                           hvs_sigma=1.3)
         mcfg = cfg.metric_config()

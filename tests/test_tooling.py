@@ -49,7 +49,15 @@ def test_src_imports_only_stdlib_numpy_and_itself():
         for lineno, module in _absolute_imports(tree):
             if module.partition(".")[0] not in ALLOWED:
                 bad.append(f"{path.name}:{lineno}: {module}")
-    assert not bad, "undeclared imports: " + ", ".join(bad)
+        # a module's private names stay its own: another module that needs
+        # one needs it made public
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                bad.extend(f"{path.name}:{node.lineno}: {alias.name}"
+                           for alias in node.names
+                           if alias.name.startswith("_")
+                           and not alias.name.endswith("__"))
+    assert not bad, "undeclared or private imports: " + ", ".join(bad)
 
 
 def _identifiers(node):

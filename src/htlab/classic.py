@@ -99,8 +99,8 @@ def floyd_steinberg(c, serpentine=False):
 
 def white_noise_threshold(c, rng):
     """h_a = 1 where c_a exceeds an i.i.d. uniform draw: the lattice draw at
-    p = c. It stays only because the benchmark calls it by this name."""
-    return sample_actions(validate_contone(c), rng)
+    p = c. Kept only because the benchmark calls it by this name."""
+    return sample_actions(c, rng)
 
 
 def edge_autocorrelation(k, top, bottom, left, right):

@@ -250,7 +250,7 @@ def lattice_cast(values, level_count):
     if level_count < 2:
         raise ValueError("a lattice needs at least 2 levels")
     v = np.asarray(values, dtype=np.float64)
-    if not np.all((v >= 0.0) & (v <= 1.0)):       # NaN fails both
+    if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):  # NaN fails
         raise ValueError("values outside [0, 1]")
     steps = level_count - 1
     scaled = v * steps

@@ -85,6 +85,9 @@ class TestCast:
             with pytest.raises(ValueError, match="outside"):
                 sample_actions(np.array([[bad, 0.5]]), Rng(0))
 
+    def test_empty_map_casts_to_empty(self):
+        assert sample_actions(np.zeros((0, 3)), Rng(0)).shape == (0, 3)
+
 
 class TestSampling:
     def test_binary_sampling_matches_binary_path_bitwise(self):

@@ -322,20 +322,20 @@ class TestTrainConfig:
         cfg = TrainConfig(iterations=1, batch_size=2, crop_size=8, channels=2,
                           blocks=0, w_a=0.0, estimator=estimator, levels=3,
                           hvs_model="gaussian", hvs_size=3, hvs_sigma=1.0)
-        try:
-            cfg.validate()
-            valid = True
-        except ValueError:
-            valid = False
         net = nn.PolicyNetwork(channels=2, blocks=0)
         net.init_params(Rng(1), std=0.3)
         data = [helpers.natural_crop(size=16, seed=2)]
-        try:
+
+        def step():
             rl.train_step(net, nn.Adam(net.params()), data, cfg, Rng(3), 0)
-            ran = True
-        except ValueError:
-            ran = False
-        assert valid == ran
+        if ESTIMATORS[estimator][1]:
+            with pytest.raises(ValueError, match="binary policy"):
+                cfg.validate()
+            with pytest.raises(ValueError, match="binary policy"):
+                step()
+        else:
+            cfg.validate()
+            step()
 
     def test_metric_config_mapping(self):
         assert TrainConfig().metric_config() == MetricConfig()
